@@ -272,7 +272,7 @@ void sha256_digest_lanes(const support::ByteView* msgs,
     std::uint8_t tail[L][128];
     for (std::size_t l = 0; l < L; ++l) {
       std::memset(tail[l], 0, tail_blocks * 64);
-      if (l < count) std::memcpy(tail[l], ptr[l], r);
+      if (l < count && r != 0) std::memcpy(tail[l], ptr[l], r);
       tail[l][r] = 0x80;
       for (int i = 0; i < 8; ++i) {
         tail[l][tail_blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
@@ -346,7 +346,7 @@ void blake2s_digest_lanes(const support::ByteView* msgs,
     std::uint8_t tail[L][64];
     for (std::size_t l = 0; l < L; ++l) {
       std::memset(tail[l], 0, 64);
-      if (l < count) std::memcpy(tail[l], ptr[l], r);
+      if (l < count && r != 0) std::memcpy(tail[l], ptr[l], r);
     }
     for (std::size_t l = 0; l < L; ++l) blocks[l] = tail[l];
     blake2s_compress_lanes<V>(h, blocks, total, /*last=*/true);

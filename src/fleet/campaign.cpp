@@ -18,7 +18,6 @@ FleetConfig fleet_config_for(const exp::GridPoint& point,
   config.infected_fraction = 0.01;
   config.epochs = 2;
   config.epoch_period = sim::kSecond;
-  config.stagger_span = 0.5;
   config.max_in_flight = 1024;
   // Tight-but-survivable reliability budget: at 20% drop most rounds
   // still resolve inside three attempts, and a budget exhaustion is a
@@ -28,10 +27,10 @@ FleetConfig fleet_config_for(const exp::GridPoint& point,
   config.session.backoff_base = 20 * sim::kMillisecond;
   // Million-device tier: above the hibernation threshold a cell keeps at
   // most kHibernationPool stacks live (the rest exist as seed records and
-  // are rebuilt from the shard golden on admission) and admits devices in
-  // shard waves (wave_size 0 = auto ≈ devices/64), which is what makes a
+  // are rebuilt from the shard golden on admission), which is what makes a
   // 1M-device cell fit one process.  Smaller cells keep every stack
-  // resident so both regimes stay covered by the same campaign.
+  // resident once built, so both regimes stay covered by the same
+  // campaign.
   if (config.devices >= kHibernationDeviceThreshold) {
     config.max_live_stacks = kHibernationPool;
   }
@@ -81,9 +80,8 @@ exp::CampaignSpec make_fleet_scale_campaign(
               static_cast<double>(result.epochs_to_full_coverage));
     out.value("in_flight_high_water",
               static_cast<double>(result.in_flight_high_water));
-    // Scheduler pressure: dripper firings per epoch.  Wave batching at
-    // the hibernation tier must show this ≈ devices / wave_size instead
-    // of ≈ devices.
+    // Scheduler pressure: dripper firings per epoch.  Shard-wave
+    // admission must show this ≈ devices / wave instead of ≈ devices.
     out.value("admission_events_per_epoch",
               static_cast<double>(result.admission_events) /
                   static_cast<double>(config.epochs));

@@ -37,7 +37,7 @@ inline constexpr double kNoMisjudgeFleetTrial = 1e18;
 /// bounded live pool (FleetConfig::max_live_stacks = kHibernationPool).
 /// The threshold is low enough that CI's reduced fleet-1m cell
 /// (devices=20000) exercises the hibernate/wake path, while the 1k/10k
-/// cells keep the legacy all-resident regime covered.
+/// cells keep the uncapped all-resident regime covered.
 inline constexpr std::size_t kHibernationDeviceThreshold = 20000;
 inline constexpr std::size_t kHibernationPool = 4096;
 

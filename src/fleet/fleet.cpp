@@ -62,19 +62,10 @@ const RoundRecord& FleetResult::round(std::size_t device, std::size_t epoch) con
   if (epoch >= epochs) {
     throw std::out_of_range("FleetResult::round: epoch out of range");
   }
-  if (epoch + round_history < epochs) {
-    throw std::out_of_range(
-        "FleetResult::round: epoch evicted by max_round_history");
-  }
-  return rounds.at(device * round_history + epoch % round_history);
+  return rounds.at(device * epochs + epoch);
 }
 
 std::vector<sim::Time> FleetResult::start_times(std::size_t device) const {
-  if (round_history < epochs) {
-    throw std::logic_error(
-        "FleetResult::start_times requires the full round history "
-        "(max_round_history >= epochs)");
-  }
   std::vector<sim::Time> times;
   times.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) times.push_back(round(device, e).started);
@@ -219,13 +210,13 @@ attest::SessionConfig make_session_config(const FleetConfig& config,
 /// segment completions and link deliveries capture references into the
 /// stack, so it may only be torn down while quiescent() — no round in
 /// flight, no measurement running, no protocol deferral pending, nothing
-/// in flight on either link.  Without hibernation
-/// (FleetConfig::max_live_stacks == 0) every stack stays alive for the
-/// whole run; with it, idle quiescent stacks collapse to HibernatedDevice
-/// records and are rebuilt from the shard state on the next admission.
-/// The admission window bounds *concurrent sessions*, not live objects.
+/// in flight on either link.  A stack is built at its device's first
+/// admission.  Without a cap (FleetConfig::max_live_stacks == 0) it then
+/// stays alive for the rest of the run; with one, idle quiescent stacks
+/// collapse to HibernatedDevice records and are rebuilt from the shard
+/// state on the next admission.  The admission window bounds *concurrent
+/// sessions*, not live objects.
 struct DeviceStack {
-  std::shared_ptr<const attest::GoldenMeasurement> own_golden;  ///< iff !share_golden
   sim::Device device;
   attest::Verifier verifier;
   attest::AttestationProcess mp;
@@ -235,13 +226,8 @@ struct DeviceStack {
 
   DeviceStack(sim::Simulator& sim, const FleetConfig& config, ShardState& shard,
               std::size_t index)
-      : own_golden(config.share_golden
-                       ? nullptr
-                       : std::make_shared<const attest::GoldenMeasurement>(
-                             shard.image, config.block_size, config.hash,
-                             shard.key)),
-        device(sim, make_device_config(config, shard, index)),
-        verifier(config.share_golden ? shard.golden : own_golden, shard.key,
+      : device(sim, make_device_config(config, shard, index)),
+        verifier(shard.golden, shard.key,
                  device_stream(config.seed, index, kChallengeSalt)),
         mp(device, make_prover_config(config)),
         vrf_to_prv(sim, make_link_config(config, index, /*forward=*/true)),
@@ -249,7 +235,7 @@ struct DeviceStack {
         session(device, verifier, mp, vrf_to_prv, prv_to_vrf,
                 make_session_config(config, index)) {
     device.memory().load(shard.image);
-    if (config.share_digest_cache) mp.set_shared_digest_cache(&shard.cache);
+    mp.set_shared_digest_cache(&shard.cache);
     if (config.metrics != nullptr) {
       verifier.set_metrics(config.metrics);
       vrf_to_prv.set_metrics(config.metrics);
@@ -258,13 +244,13 @@ struct DeviceStack {
     }
   }
 
-  /// Provisioning step two, split from construction so the fleet can build
-  /// every stack of a shard wave first and then provision them together.
-  /// Per device the order is fixed: prime from the *clean* image strictly
-  /// before the infection patch lands, so the infection is the only
-  /// dirtiness the first round sees and the subtree proofs localize
-  /// exactly the infected range.
-  void provision(const FleetConfig& config, ShardState& shard, bool infected) {
+  /// First-build provisioning (a rebuilt stack uses restore() instead).
+  /// The order is fixed: prime from the *clean* image strictly before the
+  /// infection patch lands, so the infection is the only dirtiness the
+  /// first round sees and the subtree proofs localize exactly the
+  /// infected range.
+  void provision(const FleetConfig& config, const ShardState& shard,
+                 bool infected) {
     if (config.use_merkle_tree) {
       // The shard golden already holds every block digest of the clean
       // image, computed once per shard in one multi-lane batch
@@ -272,9 +258,7 @@ struct DeviceStack {
       // those digests directly instead of re-digesting blocks * devices
       // times — the prover's (mac, hash, key) match the golden's by
       // construction (same FleetConfig, same shard key).
-      const attest::GoldenMeasurement& golden =
-          config.share_golden ? *shard.golden : *own_golden;
-      mp.prime_tree_from(golden.block_digests());
+      mp.prime_tree_from(shard.golden->block_digests());
     }
     patch_infection(config, infected);
   }
@@ -327,7 +311,7 @@ struct DeviceStack {
   /// Rebuild-from-seed path (the constructor already loaded the clean
   /// shard image): replay the infection patch, then — tree mode only —
   /// re-prime the tree from the *current* (patched) content.  The
-  /// persistent stack's tree was already consistent with that content, so
+  /// torn-down stack's tree was already consistent with that content, so
   /// re-priming from the golden digests here would spuriously re-dirty
   /// the infected blocks and change the next round's visit set.  Finally
   /// restore every captured protocol position.
@@ -350,9 +334,7 @@ struct FleetVerifier::Impl {
   Roster roster;
   std::size_t shard_count = 1;
   std::size_t devices_per_shard = 1;
-  bool hibernation = false;  ///< config.max_live_stacks != 0
-  std::size_t wave = 1;      ///< resolved admission wave size
-  std::size_t history = 1;   ///< resolved per-device round-history depth
+  std::size_t wave = 1;  ///< devices admitted per scheduler event
   bool ran = false;
 
   sim::Simulator simulator;
@@ -360,7 +342,7 @@ struct FleetVerifier::Impl {
   std::vector<std::uint64_t> shard_key_fps;
   /// Null slots are hibernated (or not yet admitted) devices.
   std::vector<std::unique_ptr<DeviceStack>> stacks;
-  std::vector<HibernatedDevice> hibernated;  ///< sized N iff hibernation
+  std::vector<HibernatedDevice> hibernated;  ///< sized N at first hibernation
   std::size_t live_stacks = 0;
 
   /// Per-device scheduling record.  `pending` counts epochs whose stagger
@@ -395,21 +377,10 @@ struct FleetVerifier::Impl {
     if (roster.size() != config.devices) {
       throw std::invalid_argument("roster size != FleetConfig.devices");
     }
-    hibernation = config.max_live_stacks != 0;
-    if (hibernation && (!config.share_golden || !config.share_digest_cache)) {
-      throw std::invalid_argument(
-          "FleetConfig.max_live_stacks requires share_golden and "
-          "share_digest_cache (a hibernating stack must not own them)");
-    }
     shard_count = detail::resolve_shards(config);
     devices_per_shard = (config.devices + shard_count - 1) / shard_count;
-    wave = config.wave_size != 0
-               ? config.wave_size
-               : std::min(std::max<std::size_t>(config.devices / 64, 1),
-                          devices_per_shard);
-    history = config.max_round_history == 0
-                  ? config.epochs
-                  : std::min(config.max_round_history, config.epochs);
+    wave = std::min(std::max<std::size_t>(config.devices / 64, 1),
+                    devices_per_shard);
 
     simulator.set_journal(config.journal);
 
@@ -420,28 +391,6 @@ struct FleetVerifier::Impl {
       shard_key_fps.push_back(key_fingerprint(shards.back().key));
     }
     stacks.resize(config.devices);
-    if (hibernation) {
-      // Lazy construction: stacks are built (and provisioned) on first
-      // admission, one shard wave at a time — building all N up front
-      // would defeat the point of bounding live stacks.
-      hibernated.resize(config.devices);
-    } else {
-      for (std::size_t d = 0; d < config.devices; ++d) {
-        stacks[d] = std::make_unique<DeviceStack>(simulator, config,
-                                                  shards[shard_of(d)], d);
-        stacks[d]->session.set_health(&shards[shard_of(d)].health);
-      }
-      // Shard-wave provisioning: every device of a shard primes its tree
-      // from the same pre-batched golden digests (tree mode), then takes
-      // its infection patch.  Separate pass so the batched digesting work
-      // (one digest_batch per shard, inside make_shard_state) amortizes
-      // across the whole wave instead of repeating per device.
-      for (std::size_t d = 0; d < config.devices; ++d) {
-        stacks[d]->provision(config, shards[shard_of(d)], roster.infected(d));
-      }
-      live_stacks = config.devices;
-      result.live_stacks_high_water = live_stacks;
-    }
     recs.resize(config.devices);
   }
 
@@ -469,8 +418,8 @@ struct FleetVerifier::Impl {
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
-    HibernatedDevice& h = hibernated[d];
-    if (h.valid) {
+    if (!hibernated.empty() && hibernated[d].valid) {
+      HibernatedDevice& h = hibernated[d];
       stack->restore(config, roster.infected(d), h);
       if (generation_summary(stack->device.memory()) != h.generation_summary) {
         violation("device " + std::to_string(d) +
@@ -492,6 +441,7 @@ struct FleetVerifier::Impl {
   }
 
   void hibernate_stack(std::size_t d) {
+    if (hibernated.empty()) hibernated.resize(config.devices);
     const std::size_t s = shard_of(d);
     hibernated[d] = stacks[d]->hibernate(d, s, shard_key_fps[s],
                                          hibernated[d].wakes);
@@ -512,7 +462,7 @@ struct FleetVerifier::Impl {
   /// (e.g. a duplicated report copy in flight) are recycled and revisited
   /// on a later pool event — the scan bound keeps that from spinning.
   void shrink_pool() {
-    if (!hibernation) return;
+    if (config.max_live_stacks == 0) return;
     std::size_t scan = idle_lru.size();
     while (live_stacks > config.max_live_stacks && scan-- > 0) {
       const std::uint32_t d = idle_lru.back();
@@ -530,9 +480,8 @@ struct FleetVerifier::Impl {
   }
 
   sim::Duration stagger_offset(std::size_t device) const noexcept {
-    const double span = std::clamp(config.stagger_span, 0.0, 1.0);
     const auto span_ns = static_cast<sim::Duration>(
-        static_cast<double>(config.epoch_period) * span);
+        static_cast<double>(config.epoch_period) * kStaggerSpan);
     switch (config.stagger) {
       case StaggerPolicy::kBurst:
         return 0;
@@ -557,29 +506,24 @@ struct FleetVerifier::Impl {
                      static_cast<std::size_t>(config.devices)});
   }
 
-  /// One dripper event chain per epoch, advancing a whole shard wave per
-  /// firing: the wave is admitted at its *leader's* stagger offset, so the
-  /// scheduler sees devices/wave events per epoch instead of N closures.
-  /// Per-device outcomes are unchanged by the grouping — each device's
-  /// rng/session streams are seeded independently of admission time, and
-  /// wave_size=1 reproduces the legacy per-device drip exactly.
-  void schedule_epoch(std::size_t epoch) {
-    const sim::Time start = static_cast<sim::Time>(epoch) * config.epoch_period;
-    auto step = std::make_shared<std::function<void(std::size_t)>>();
-    *step = [this, start, step](std::size_t next) {
-      ++result.admission_events;
-      while (next < config.devices &&
-             start + stagger_offset(next) <= simulator.now()) {
-        const std::size_t end = wave_end(next);
-        for (std::size_t d = next; d < end; ++d) device_ready(d);
-        next = end;
-      }
-      if (next < config.devices) {
-        simulator.schedule_at(start + stagger_offset(next),
-                              [step, next] { (*step)(next); });
-      }
-    };
-    simulator.schedule_at(start, [step] { (*step)(0); });
+  /// One step of an epoch's dripper chain (the epoch issues from
+  /// `start`), advancing a whole shard wave per firing: the wave is
+  /// admitted at its *leader's* stagger offset, so the scheduler sees
+  /// devices/wave events per epoch instead of N closures.  Per-device
+  /// outcomes are unchanged by the grouping — each device's rng/session
+  /// streams are seeded independently of admission time.
+  void admit_from(sim::Time start, std::size_t next) {
+    ++result.admission_events;
+    while (next < config.devices &&
+           start + stagger_offset(next) <= simulator.now()) {
+      const std::size_t end = wave_end(next);
+      for (std::size_t d = next; d < end; ++d) device_ready(d);
+      next = end;
+    }
+    if (next < config.devices) {
+      simulator.schedule_at(start + stagger_offset(next),
+                            [this, start, next] { admit_from(start, next); });
+    }
   }
 
   void device_ready(std::size_t d) {
@@ -629,10 +573,7 @@ struct FleetVerifier::Impl {
     --in_flight_count;
 
     const obs::RoundOutcome outcome = attest::session_outcome_rollup(r.outcome);
-    // Ring slot: with bounded history the slot for epoch e is reused by
-    // epoch e + history, so clear it before filling.
-    RoundRecord& record = result.rounds[d * history + epoch % history];
-    record = RoundRecord{};
+    RoundRecord& record = result.rounds[d * config.epochs + epoch];
     record.started = r.t_started;
     record.outcome = outcome;
     record.attempts =
@@ -678,7 +619,7 @@ struct FleetVerifier::Impl {
       rec.queued = true;
       admission.push_back(static_cast<std::uint32_t>(d));
     }
-    if (hibernation && !rec.idle_listed) {
+    if (config.max_live_stacks != 0 && !rec.idle_listed) {
       // Hibernation candidate — even when already re-queued: under a
       // saturated admission window a device can wait whole epochs between
       // resolve and next start, and that parked stack is exactly what the
@@ -806,7 +747,7 @@ struct FleetVerifier::Impl {
           result.link_corrupted += link->corrupted();
           result.link_reordered += link->reordered();
         }
-      } else if (hibernation && hibernated[d].valid) {
+      } else if (!hibernated.empty() && hibernated[d].valid) {
         for (const sim::Link::State* link :
              {&hibernated[d].vrf_to_prv, &hibernated[d].prv_to_vrf}) {
           result.link_sent += link->sent;
@@ -865,49 +806,33 @@ struct FleetVerifier::Impl {
     FleetMemoryStats stats;
     for (const ShardState& shard : shards) {
       stats.shared_bytes += shard.image.capacity() + shard.key.capacity();
-      if (config.share_golden) {
-        stats.shared_bytes += sizeof(attest::GoldenMeasurement) +
-                              shard.golden->block_count() * sizeof(attest::Digest) +
-                              shard.golden->tree_memory_bytes() +
-                              shard.key.capacity();
-      }
-      if (config.share_digest_cache) {
-        stats.shared_bytes += sizeof(attest::DigestCache) +
-                              config.blocks * kDigestCacheSlotBytes;
-      }
+      stats.shared_bytes += sizeof(attest::GoldenMeasurement) +
+                            shard.golden->block_count() * sizeof(attest::Digest) +
+                            shard.golden->tree_memory_bytes() +
+                            /*golden key copy*/ shard.key.capacity();
+      stats.shared_bytes += sizeof(attest::DigestCache) +
+                            config.blocks * kDigestCacheSlotBytes;
     }
     std::size_t per_device = sizeof(DeviceRec) +
-                             history * sizeof(RoundRecord);
-    if (hibernation) {
+                             config.epochs * sizeof(RoundRecord);
+    if (config.max_live_stacks != 0) {
       // A hibernated device is its seed record (plus the heap its saved
-      // session/verifier state holds); the full stack is charged to the
-      // bounded pool below, not per device.
+      // session/verifier state holds).
       per_device += sizeof(HibernatedDevice) + kHibernatedHeapBytes;
-    } else {
-      per_device += sizeof(DeviceStack) + kPerDeviceStringBytes +
-                    /*verifier key copy*/ kKeyBytes;
-      if (!config.share_golden) {
-        per_device += sizeof(attest::GoldenMeasurement) +
-                      config.blocks * sizeof(attest::Digest) +
-                      shards.front().golden->tree_memory_bytes() + kKeyBytes;
-      }
-      if (!config.share_digest_cache) {
-        per_device += sizeof(attest::DigestCache) +
-                      config.blocks * kDigestCacheSlotBytes;
-      }
     }
     stats.per_device_bytes = config.devices * per_device;
-    if (hibernation) {
-      // Pre-run the high-water is still 0; charge the configured cap so
-      // the estimate is an honest a-priori budget, and the measured
-      // high-water once it exceeds the cap (the cap is soft).
-      const std::size_t pool_stacks =
-          std::max({result.live_stacks_high_water, live_stacks,
-                    std::min(config.max_live_stacks,
-                             static_cast<std::size_t>(config.devices))});
-      stats.pool_bytes = pool_stacks * (sizeof(DeviceStack) +
-                                        kPerDeviceStringBytes + kKeyBytes);
-    }
+    // Every live stack is charged to the pool.  Pre-run the high-water is
+    // still 0; charge the cap (N without one) so the estimate is an
+    // honest a-priori budget, and the measured high-water once it exceeds
+    // the cap (the cap is soft).
+    const std::size_t cap =
+        config.max_live_stacks == 0 ? config.devices : config.max_live_stacks;
+    const std::size_t pool_stacks =
+        std::max({result.live_stacks_high_water, live_stacks,
+                  std::min(cap, config.devices)});
+    stats.pool_bytes = pool_stacks * (sizeof(DeviceStack) +
+                                      kPerDeviceStringBytes +
+                                      /*verifier key copy*/ kKeyBytes);
     stats.roster_bytes = roster.memory_bytes();
     return stats;
   }
@@ -918,11 +843,12 @@ struct FleetVerifier::Impl {
     result.devices = config.devices;
     result.epochs = config.epochs;
     result.shards = shard_count;
-    result.round_history = history;
-    result.wave_size = wave;
-    result.rounds.resize(config.devices * history);
+    result.rounds.resize(config.devices * config.epochs);
     result.epoch_stats.resize(config.epochs);
-    for (std::size_t e = 0; e < config.epochs; ++e) schedule_epoch(e);
+    for (std::size_t e = 0; e < config.epochs; ++e) {
+      const sim::Time start = static_cast<sim::Time>(e) * config.epoch_period;
+      simulator.schedule_at(start, [this, start] { admit_from(start, 0); });
+    }
     simulator.run();
     finalize();
     if (config.enforce_invariants && !result.invariant_violations.empty()) {
@@ -938,7 +864,7 @@ FleetVerifier::FleetVerifier(FleetConfig config)
     : FleetVerifier(config,
                     Roster::with_infected_fraction(
                         config.devices, config.infected_fraction,
-                        detail::device_stream(config.seed, 0, 0x1f3c7ed1))) {}
+                        detail::device_stream(config.seed, 0, kRosterSalt))) {}
 
 FleetVerifier::FleetVerifier(FleetConfig config, Roster roster)
     : impl_(std::make_unique<Impl>(std::move(config), std::move(roster))) {}

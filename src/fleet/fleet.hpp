@@ -10,13 +10,17 @@
 ///  - devices are partitioned into contiguous *shards*; every device of a
 ///    shard is provisioned with the same image and attestation key, so
 ///    the shard shares one pre-digested attest::GoldenMeasurement and
-///    (optionally) one prover-side attest::DigestCache — verifier-side
-///    memory per device therefore shrinks as the fleet grows;
+///    one prover-side attest::DigestCache — verifier-side memory per
+///    device therefore shrinks as the fleet grows;
 ///  - rounds are scheduled in *epochs*: epoch e's challenges issue from
-///    t = e * epoch_period, smeared over stagger_span * epoch_period by a
-///    StaggerPolicy so measurement load is smoothed, not bursty;
+///    t = e * epoch_period, smeared over kStaggerSpan * epoch_period by a
+///    StaggerPolicy so measurement load is smoothed, not bursty, and
+///    admitted in shard waves of about devices/64 per scheduler event;
 ///  - an *admission window* caps concurrently in-flight sessions; ready
 ///    devices beyond the cap queue FIFO and start as slots free up;
+///  - a device's stack is built at its first admission; with a
+///    max_live_stacks cap, idle stacks hibernate to seed records and are
+///    rebuilt at their next admission;
 ///  - every resolved round feeds three independent obs::HealthRollup
 ///    folds (per shard, per epoch, fleet total) whose integer aggregates
 ///    must agree — one of the invariants checked after every epoch.
@@ -49,9 +53,12 @@ namespace rasc::fleet {
 /// How challenge issuance is spread inside an epoch.
 enum class StaggerPolicy {
   kBurst,        ///< everything at the epoch boundary (worst case)
-  kUniform,      ///< device d at stagger_span * period * d / N
-  kShardPhased,  ///< shard s at stagger_span * period * s / shards
+  kUniform,      ///< device d at kStaggerSpan * period * d / N
+  kShardPhased,  ///< shard s at kStaggerSpan * period * s / shards
 };
+
+/// Fraction of epoch_period the stagger smears issuance over.
+inline constexpr double kStaggerSpan = 0.5;
 
 std::string stagger_policy_name(StaggerPolicy policy);
 /// Inverse of stagger_policy_name; throws std::invalid_argument.
@@ -69,54 +76,28 @@ struct FleetConfig {
   /// becomes ready for epoch e+1 once its epoch-e round resolved.
   sim::Duration epoch_period = sim::kSecond;
   StaggerPolicy stagger = StaggerPolicy::kUniform;
-  /// Fraction of epoch_period the stagger smears issuance over.
-  double stagger_span = 0.5;
   /// Admission window: max sessions concurrently in flight (0 = no cap).
   std::size_t max_in_flight = 1024;
 
   /// Stack hibernation (the 1M tier): bound the pool of live DeviceStacks
-  /// (0 = keep all N alive for the whole run, the pre-1M behavior).
-  /// Between rounds an idle, fully quiescent stack is torn down to a
-  /// compact HibernatedDevice seed record and rebuilt from the shard
-  /// state at its next admission; verdicts, journals and health rollups
-  /// are byte-identical either way (chaos-tested).  The cap is soft:
-  /// admission always wakes the device it needs, then the pool shrinks
-  /// back by hibernating least-recently-idle stacks, so liveness never
-  /// depends on the cap.  Requires share_golden and share_digest_cache —
-  /// a hibernating device must not own golden/cache state that dies with
-  /// its stack (losing cache entries would change the journaled hit/miss
-  /// sequence).
+  /// (0 = no cap: a stack built at its first admission stays alive for
+  /// the rest of the run).  Between rounds an idle, fully quiescent stack
+  /// is torn down to a compact HibernatedDevice seed record and rebuilt
+  /// from the shard state at its next admission; verdicts, journals and
+  /// health rollups are byte-identical either way (chaos-tested).  The
+  /// cap is soft: admission always wakes the device it needs, then the
+  /// pool shrinks back by hibernating least-recently-idle stacks, so
+  /// liveness never depends on the cap.
   std::size_t max_live_stacks = 0;
 
-  /// Shard-wave challenge batching: devices admitted per scheduler event
-  /// (0 = auto: devices/64 clamped to [1, devices_per_shard]; 1 = the
-  /// legacy one-event-per-device dripper).  Waves never cross a shard
-  /// boundary and every device of a wave becomes ready at the wave
-  /// leader's stagger offset.  Round outcomes are invariant under wave
-  /// size (per-device randomness is admission-time-independent); only the
-  /// recorded start times of kUniform runs quantize to wave leaders.
-  std::size_t wave_size = 0;
-
-  /// Bound on retained per-device round history (ring buffer; 0 = keep
-  /// all config.epochs records).  With history H < epochs only the last H
-  /// rounds of each device stay addressable via FleetResult::round();
-  /// every aggregate (health, epoch stats, outcome counts) still covers
-  /// all rounds.  At 1M devices the full history dominates verifier
-  /// memory, which is exactly what this bounds.
-  std::size_t max_round_history = 0;
-
-  /// Prover hardware.  Deliberately tiny by default: with
-  /// max_live_stacks == 0 all N device stacks stay alive for the whole
-  /// run (in-flight events hold references into them), so the per-device
-  /// footprint bounds fleet size in host RAM.
+  /// Prover hardware.  Deliberately tiny by default: without a
+  /// max_live_stacks cap all N device stacks end up alive (in-flight
+  /// events hold references into them), so the per-device footprint
+  /// bounds fleet size in host RAM.
   std::size_t blocks = 4;
   std::size_t block_size = 64;
   crypto::HashKind hash = crypto::HashKind::kSha256;
   attest::ExecutionMode mode = attest::ExecutionMode::kAtomic;
-  /// Share one GoldenMeasurement / prover DigestCache per shard (off =
-  /// per-device copies; the memory-accounting tests sweep both).
-  bool share_golden = true;
-  bool share_digest_cache = true;
   /// Merkle-tree incremental measurement (prover.use_merkle_tree): every
   /// stack primes its tree from the provisioned image *before* the
   /// infection patch lands, so an infected device's first round visits
@@ -191,9 +172,8 @@ struct FleetMemoryStats {
   std::size_t shared_bytes = 0;
   std::size_t per_device_bytes = 0;
   std::size_t roster_bytes = 0;
-  /// Live-stack pool under hibernation: high-water live stacks times the
-  /// full stack footprint.  Zero when stacks are persistent (the full
-  /// footprint is then inside per_device_bytes).
+  /// Live-stack pool: the larger of the cap (N without one) and the
+  /// live-stack high water, times the full stack footprint.
   std::size_t pool_bytes = 0;
   std::size_t total_bytes() const noexcept {
     return shared_bytes + per_device_bytes + roster_bytes + pool_bytes;
@@ -227,20 +207,15 @@ struct FleetResult {
   std::vector<obs::HealthRollup> shard_health;
   obs::HealthRollup health;
 
-  /// Rounds each device retains in `rounds` (min(epochs, the resolved
-  /// max_round_history)); round() only addresses the last `round_history`
-  /// epochs when it is smaller than `epochs`.
-  std::size_t round_history = 0;
-
-  /// Resolved admission wave size and the number of admission scheduler
-  /// events that actually fired (dripper steps, summed across epochs) —
-  /// the scheduler-pressure figure wave batching exists to cut.
-  std::size_t wave_size = 0;
+  /// Admission scheduler events that actually fired (dripper steps,
+  /// summed across epochs) — the scheduler-pressure figure wave batching
+  /// exists to cut.
   std::size_t admission_events = 0;
 
-  /// Stack hibernation accounting (all zero when max_live_stacks == 0).
-  /// `wakes` counts rebuilds from a HibernatedDevice record only; the
-  /// first construction of a stack is not a wake.
+  /// Stack hibernation accounting (hibernations and wakes are zero when
+  /// max_live_stacks == 0).  `wakes` counts rebuilds from a
+  /// HibernatedDevice record only; the first construction of a stack is
+  /// not a wake.
   std::size_t hibernations = 0;
   std::size_t wakes = 0;
   std::size_t live_stacks_high_water = 0;
@@ -272,17 +247,15 @@ struct FleetResult {
   /// Human-readable invariant violations (empty on a healthy run).
   std::vector<std::string> invariant_violations;
 
-  /// Record of one device's round at `epoch`.  With a bounded history
-  /// ring (round_history < epochs) only the last round_history epochs are
-  /// addressable; asking for an evicted epoch throws std::out_of_range.
+  /// Record of one device's round at `epoch` (std::out_of_range when
+  /// either index is out of range).
   const RoundRecord& round(std::size_t device, std::size_t epoch) const;
   /// Recorded start times of one device's rounds, in epoch order — the
-  /// exact schedule replay_device() re-runs.  Requires the full history
-  /// (throws std::logic_error when round_history < epochs).
+  /// exact schedule replay_device() re-runs.
   std::vector<sim::Time> start_times(std::size_t device) const;
 };
 
-/// Owns the simulator, all N device stacks and the scheduling state.
+/// Owns the simulator, the device stacks and the scheduling state.
 /// Build, call run() once, read the FleetResult.
 class FleetVerifier {
  public:
@@ -303,9 +276,9 @@ class FleetVerifier {
   std::size_t shard_count() const noexcept;
   std::size_t shard_of(std::size_t device) const noexcept;
   /// Verifier-side memory accounting from the actual container footprints
-  /// (capacities, not assumed sizes).  Without hibernation it is constant
-  /// from construction on; with hibernation the pool term uses the live-
-  /// stack high water, so read it after run() for the final figure.
+  /// (capacities, not assumed sizes).  The pool term grows with the live-
+  /// stack high water past a (soft) cap, so read it after run() for the
+  /// final figure.
   FleetMemoryStats memory_stats() const;
 
  private:

@@ -1,14 +1,17 @@
 /// Hibernation-tier property tests: a fleet that tears quiescent device
-/// stacks down to HibernatedDevice seed records (bounded live pool) and
-/// admits devices in shard waves must be *observably identical* to the
-/// all-resident, per-device-drip fleet — same verdicts, same filtered
-/// journal bytes, same health aggregates, same link counters — because a
-/// rebuilt stack resumes the exact rng/session/verifier/link state the
-/// torn-down stack saved.  These are the ISSUE-10 equivalence suites.
+/// stacks down to HibernatedDevice seed records (bounded live pool) must
+/// be *observably identical* to the uncapped, all-resident fleet — same
+/// verdicts, same filtered journal bytes, same health aggregates, same
+/// link counters — because a rebuilt stack resumes the exact
+/// rng/session/verifier/link state the torn-down stack saved.  Shard-wave
+/// admission is checked against standalone replays and the shard layout.
 
 #include <gtest/gtest.h>
 
-#if defined(__GLIBC__)
+#if defined(__SANITIZE_ADDRESS__)
+// From <sanitizer/allocator_interface.h>, which is not always installed.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#elif defined(__GLIBC__)
 #include <malloc.h>
 #endif
 
@@ -133,16 +136,6 @@ TEST(HibernatingFleet, SingleStackPoolStillResolvesEverything) {
   expect_equivalent(faulty_config(24, 93), 1, "flat pool=1");
 }
 
-TEST(HibernatingFleet, RequiresSharedGoldenAndCache) {
-  FleetConfig config = fast_fleet_config(8);
-  config.max_live_stacks = 2;
-  config.share_golden = false;
-  EXPECT_THROW(FleetVerifier{config}, std::invalid_argument);
-  config.share_golden = true;
-  config.share_digest_cache = false;
-  EXPECT_THROW(FleetVerifier{config}, std::invalid_argument);
-}
-
 TEST(HibernatingFleet, StandaloneReplayReproducesHibernatedVerdicts) {
   // Chaos cross-check: replay each device alone (persistent stack, fresh
   // simulator) against the hibernating fleet's recorded verdicts.
@@ -180,49 +173,43 @@ TEST(HibernatingFleet, PoolStaysBoundedOnCleanLinks) {
 // -- shard-wave admission batching -------------------------------------------
 
 TEST(WaveAdmission, AutoWaveKeepsVerdictsAndCutsSchedulerEvents) {
-  // 1000 devices: auto wave ≈ 15, so the dripper should fire ~devices/15
-  // times per epoch instead of ~devices.  Outcomes must be identical —
-  // per-device streams are admission-time independent.
-  FleetConfig base = fast_fleet_config(1000, 96);
-  base.drop_probability = 0.1;
-  base.infected_fraction = 0.05;
+  // 1000 devices: the wave is devices/64 = 15, so the dripper should fire
+  // ~devices/15 times per epoch instead of once per device.  Verdicts must
+  // match standalone replays — per-device streams are admission-time
+  // independent, so grouping admissions cannot change an outcome.
+  FleetConfig config = fast_fleet_config(1000, 96);
+  config.drop_probability = 0.1;
+  config.infected_fraction = 0.05;
+  FleetVerifier fleet(config);
+  const Roster roster = fleet.roster();
+  const FleetResult result = fleet.run();
+  EXPECT_TRUE(testfx::fleet_fully_resolved(result));
 
-  FleetConfig legacy = base;
-  legacy.wave_size = 1;
-  FleetConfig waved = base;
-  waved.wave_size = 0;  // auto
-
-  const FleetResult a = FleetVerifier(legacy).run();
-  const FleetResult b = FleetVerifier(waved).run();
-  EXPECT_TRUE(testfx::fleet_fully_resolved(a));
-  EXPECT_TRUE(testfx::fleet_fully_resolved(b));
-  EXPECT_EQ(a.wave_size, 1u);
-  EXPECT_GT(b.wave_size, 1u);
-
-  for (std::size_t d = 0; d < a.devices; ++d) {
-    for (std::size_t e = 0; e < a.epochs; ++e) {
-      ASSERT_EQ(a.round(d, e).outcome, b.round(d, e).outcome)
+  for (std::size_t d = 0; d < result.devices; ++d) {
+    const std::vector<obs::RoundOutcome> replayed =
+        replay_device(config, roster, d, result.start_times(d));
+    ASSERT_EQ(replayed.size(), result.epochs);
+    for (std::size_t e = 0; e < result.epochs; ++e) {
+      ASSERT_EQ(replayed[e], result.round(d, e).outcome)
           << "device " << d << " epoch " << e;
-      EXPECT_EQ(a.round(d, e).attempts, b.round(d, e).attempts);
     }
   }
-  EXPECT_EQ(a.misjudged_rounds, b.misjudged_rounds);
 
-  // Scheduler pressure: ISSUE-10 requires at least a 5x cut.
-  EXPECT_GT(a.admission_events, 0u);
-  EXPECT_GT(b.admission_events, 0u);
-  EXPECT_GE(a.admission_events, 5 * b.admission_events)
+  // Scheduler pressure: at least a 5x cut against one event per device
+  // per epoch.
+  EXPECT_GT(result.admission_events, 0u);
+  EXPECT_LE(5 * result.admission_events, config.devices * config.epochs)
       << "wave batching did not reduce scheduler events enough: "
-      << a.admission_events << " -> " << b.admission_events;
+      << result.admission_events << " events for "
+      << config.devices * config.epochs << " admissions";
 }
 
 TEST(WaveAdmission, WavesNeverCrossShardBoundaries) {
-  // 4 shards x 8 devices with an oversized wave request: each wave must
-  // clip at its shard boundary, so shard-phased epoch-0 start times still
-  // align per shard.
-  FleetConfig config = fast_fleet_config(32, 97);
-  config.shards = 4;
-  config.wave_size = 1000;  // clipped to the 8-device shard
+  // 200 devices in 3 shards of 67: the 3-device waves do not divide a
+  // shard, so the last wave of each shard must clip at the boundary and
+  // shard-phased epoch-0 start times still align per shard.
+  FleetConfig config = fast_fleet_config(200, 97);
+  config.shards = 3;
   config.stagger = StaggerPolicy::kShardPhased;
   config.max_in_flight = 0;
   FleetVerifier fleet(config);
@@ -231,7 +218,7 @@ TEST(WaveAdmission, WavesNeverCrossShardBoundaries) {
   FleetVerifier probe(config);
   for (std::size_t d = 0; d < result.devices; ++d) {
     const std::size_t shard = probe.shard_of(d);
-    EXPECT_EQ(result.round(d, 0).started, result.round(shard * 8, 0).started)
+    EXPECT_EQ(result.round(d, 0).started, result.round(shard * 67, 0).started)
         << "device " << d << " shard " << shard;
   }
 }
@@ -253,40 +240,6 @@ TEST(EpochStats, FirstStartAndLastResolveCarryExplicitPresence) {
   EXPECT_TRUE(EpochStats{}.last_resolve == std::nullopt);
 }
 
-// -- bounded round history -----------------------------------------------------
-
-TEST(RoundHistory, RingRetainsOnlyTheLastEpochs) {
-  FleetConfig config = fast_fleet_config(6, 99);
-  config.epochs = 6;
-  config.max_round_history = 2;
-  const FleetResult result = FleetVerifier(config).run();
-  EXPECT_EQ(result.round_history, 2u);
-  // Aggregates still cover every epoch...
-  EXPECT_EQ(result.rounds_resolved, 6u * 6u);
-  EXPECT_EQ(result.health.rounds(), 36u);
-  // ...but only the last `round_history` epochs stay addressable.
-  for (std::size_t d = 0; d < result.devices; ++d) {
-    EXPECT_TRUE(result.round(d, 4).resolved);
-    EXPECT_TRUE(result.round(d, 5).resolved);
-    EXPECT_THROW(result.round(d, 3), std::out_of_range);
-    EXPECT_THROW(result.round(d, 0), std::out_of_range);
-  }
-  // start_times needs the full schedule; with truncated history it must
-  // refuse rather than hand back garbage for replay.
-  EXPECT_THROW(result.start_times(0), std::logic_error);
-}
-
-TEST(RoundHistory, FullHistoryRemainsTheDefault) {
-  FleetConfig config = fast_fleet_config(4, 100);
-  config.epochs = 3;
-  const FleetResult result = FleetVerifier(config).run();
-  EXPECT_EQ(result.round_history, 3u);
-  for (std::size_t e = 0; e < 3; ++e) {
-    EXPECT_TRUE(result.round(0, e).resolved);
-  }
-  EXPECT_EQ(result.start_times(0).size(), 3u);
-}
-
 // -- memory estimator ---------------------------------------------------------
 
 TEST(FleetMemory, HibernationShrinksTheEstimateAndBoundsPerDeviceCost) {
@@ -299,20 +252,30 @@ TEST(FleetMemory, HibernationShrinksTheEstimateAndBoundsPerDeviceCost) {
   const FleetMemoryStats full = FleetVerifier(persistent).memory_stats();
   const FleetMemoryStats slim = FleetVerifier(hibernating).memory_stats();
   EXPECT_LT(slim.total_bytes(), full.total_bytes());
-  EXPECT_LT(slim.per_device_bytes, full.per_device_bytes);
+  // Live stacks are charged to the pool in both regimes: all 5000 stacks
+  // without a cap, the 64-stack cap with one.
   EXPECT_GT(slim.pool_bytes, 0u);
-  EXPECT_EQ(full.pool_bytes, 0u);
+  EXPECT_EQ(full.pool_bytes / 5000, slim.pool_bytes / 64);
+  // Under the cap each device adds only its seed record, a fraction of
+  // the live stack it stands in for.
+  EXPECT_GT(slim.per_device_bytes, full.per_device_bytes);
+  EXPECT_LT(slim.per_device_bytes - full.per_device_bytes, full.pool_bytes / 2);
 }
 
-#if defined(__GLIBC__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__GLIBC__)
 TEST(FleetMemory, EstimateTracksMeasuredAllocations) {
   // Ground the estimator against the allocator: the heap growth from
   // building and running a hibernating fleet must be within a small
   // constant factor of memory_stats().  Generous bounds — the point is
   // catching order-of-magnitude lies (e.g. charging size() where the
-  // container kept capacity()), not bytes.
+  // container kept capacity()), not bytes.  AddressSanitizer replaces
+  // malloc (mallinfo2() then reads 0), so ask its allocator instead.
   const auto live_bytes = [] {
+#if defined(__SANITIZE_ADDRESS__)
+    return __sanitizer_get_current_allocated_bytes();
+#else
     return static_cast<std::size_t>(mallinfo2().uordblks);
+#endif
   };
   FleetConfig config = fast_fleet_config(2000, 102);
   config.max_live_stacks = 64;

@@ -205,7 +205,6 @@ inline fleet::FleetConfig fast_fleet_config(std::size_t devices,
   config.epochs = 2;
   config.epoch_period = 200 * sim::kMillisecond;
   config.stagger = fleet::StaggerPolicy::kUniform;
-  config.stagger_span = 0.5;
   config.session = fast_session_config();
   return config;
 }
