@@ -161,7 +161,6 @@ int main() {
     }
     attest::DigestCache cache;
     cache.resize(kBlocks);
-    cache.set_metrics(&registry);
 
     std::vector<support::Bytes> cached_results, uncached_results, batch_results,
         tree_results;
@@ -302,18 +301,18 @@ int main() {
   ok &= expect(tree_speedup_at_1pct >= 50.0,
                "tree re-measurement at 1% dirty blocks is >=50x faster than uncached");
 
-  // A detached flight recorder must be invisible on the measurement hot
-  // path.  Time the disabled-path gate every instrumented site pays per
-  // event (a pointer load + branch; volatile models the member re-load)
-  // and hold it under 1% of one block digest.
+  // A detached observer must be invisible on the measurement hot path.
+  // Time the disabled-path gate every emitting site pays per fact (a
+  // pointer load + branch; volatile models the member re-load) and hold
+  // it under 1% of one block digest.
   {
-    obs::EventJournal* volatile journal = nullptr;
+    obs::Observer* volatile observer = nullptr;
     constexpr std::size_t kGateIters = std::size_t{1} << 24;
     std::uint64_t armed = 0;
     const double gate_start = now_seconds();
     for (std::size_t i = 0; i < kGateIters; ++i) {
-      if (obs::EventJournal* j = journal) {
-        j->append(0, 0, 0, 0, obs::JournalEventKind::kCacheHit, i, 0);
+      if (obs::Observer* o = observer) {
+        o->emit(0, obs::JournalEventKind::kCacheHit, {}, {}, 0, i, 0);
         ++armed;
       }
     }
@@ -322,11 +321,11 @@ int main() {
         registry.gauge("measurement.uncached_seconds_dirty_100").value() /
         static_cast<double>(kRounds * kBlocks);
     const double overhead = per_block_s > 0.0 ? per_gate_s / per_block_s : 0.0;
-    std::printf("\nnull-journal gate: %.3g ns/event vs %.4g us/block digest (%.5f%%)\n",
+    std::printf("\nnull-observer gate: %.3g ns/event vs %.4g us/block digest (%.5f%%)\n",
                 per_gate_s * 1e9, per_block_s * 1e6, overhead * 100.0);
-    registry.gauge("measurement.null_journal_gate_pct").set(overhead * 100.0);
+    registry.gauge("measurement.null_observer_gate_pct").set(overhead * 100.0);
     ok &= expect(armed == 0 && overhead < 0.01,
-                 "disabled journal gate costs <1% of a block digest");
+                 "disabled observer gate costs <1% of a block digest");
   }
 
   // Deterministic identity/hit-rate aggregates through the campaign

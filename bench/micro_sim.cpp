@@ -92,21 +92,17 @@ void BM_JournalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalAppend);
 
-void BM_JournalDisabledGate(benchmark::State& state) {
-  // The per-event cost with no journal attached: what every instrumented
-  // site in sim/attest/apps pays when the flight recorder is off.
+void BM_EmitDisabledGate(benchmark::State& state) {
+  // The per-fact cost with no observer attached: what every emitting
+  // site in sim/attest/apps pays when observability is off.
   sim::Simulator simulator;
-  std::uint64_t armed = 0;
   for (auto _ : state) {
-    if (auto* j = simulator.journal()) {
-      j->append(0, 0, 0, 0, obs::JournalEventKind::kLinkSend);
-      ++armed;
-    }
-    benchmark::DoNotOptimize(armed);
+    simulator.emit(obs::JournalEventKind::kLinkSend, {}, {}, 0, 0, 0);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_JournalDisabledGate);
+BENCHMARK(BM_EmitDisabledGate);
 
 void BM_NetworkScenario(benchmark::State& state) {
   // Arg toggles the flight recorder so its end-to-end overhead (append

@@ -149,7 +149,6 @@ exp::CampaignSpec make_measurement_cache_campaign(
     attest::DigestCache cache;
     cache.resize(kBlocks);
     exp::TrialOutput out;
-    cache.set_metrics(&out.metrics);
 
     const auto measure = [&](attest::DigestCache* c, std::uint64_t counter) {
       attest::Measurement m(memory, crypto::HashKind::kSha256, key,
@@ -177,6 +176,15 @@ exp::CampaignSpec make_measurement_cache_campaign(
     const support::Bytes cached = measure(&cache, /*counter=*/2);
     const support::Bytes uncached = measure(nullptr, /*counter=*/2);
     const std::uint64_t round_hits = cache.hits() - hits_before;
+
+    // The cache's own tallies over both cached passes; a counter exists
+    // only once it has counted something.
+    for (const auto& [name, value] : {std::pair<const char*, std::uint64_t>{
+                                          "digest_cache.hit", cache.hits()},
+                                      {"digest_cache.miss", cache.misses()},
+                                      {"digest_cache.store", cache.stores()}}) {
+      if (value != 0) out.metrics.counter(name).inc(value);
+    }
 
     // The whole point: cache hits change nothing observable.
     out.bernoulli(cached == uncached);

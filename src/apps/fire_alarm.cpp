@@ -24,40 +24,21 @@ std::optional<sim::Segment> FireAlarmTask::next_segment() {
 }
 
 void FireAlarmTask::complete_sample(sim::Time scheduled_at) {
-  const sim::Time now = device_.sim().now();
+  auto& sim = device_.sim();
+  const sim::Time now = sim.now();
   ++samples_taken_;
   const sim::Duration delay = now - scheduled_at;
   if (delay > max_delay_) max_delay_ = delay;
   const bool missed = delay > config_.deadline;
   if (missed) ++deadline_misses_;
-  auto* sink = device_.sim().trace_sink();
-  if (sink != nullptr && missed) {
-    sink->instant(now, "app/" + device_.id(), "fire_alarm.deadline_miss",
-                  {obs::arg("delay_ms", sim::to_millis(delay))});
-  }
-  if (auto* j = device_.sim().journal()) {
-    j->append(now, journal_actor_.get(*j, device_.id()), 0, 0,
-              missed ? obs::JournalEventKind::kDeadlineMiss
-                     : obs::JournalEventKind::kDeadlineHit,
-              delay, config_.deadline);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("fire_alarm.samples").inc();
-    metrics_->histogram("fire_alarm.sample_delay_ms").record(sim::to_millis(delay));
-    if (missed) metrics_->counter("fire_alarm.deadline_miss").inc();
-  }
+  sim.emit(missed ? obs::JournalEventKind::kDeadlineMiss : obs::JournalEventKind::kDeadlineHit,
+           {device_.id(), &journal_actor_}, {}, 0, delay, config_.deadline);
   // The sensor reads the *current* ambient state: a fire that started any
   // time before this sample executes is seen now.
   if (fire_time_ && now >= *fire_time_ && !alarm_at_) {
     alarm_at_ = now;
-    if (sink != nullptr) {
-      sink->instant(now, "app/" + device_.id(), "fire_alarm.alarm_raised",
-                    {obs::arg("latency_ms", sim::to_millis(now - *fire_time_))});
-    }
-    if (auto* j = device_.sim().journal()) {
-      j->append(now, journal_actor_.get(*j, device_.id()), 0, 0,
-                obs::JournalEventKind::kAlarmRaised, now - *fire_time_, 0);
-    }
+    sim.emit(obs::JournalEventKind::kAlarmRaised, {device_.id(), &journal_actor_}, {}, 0,
+             now - *fire_time_, 0);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/obs/metrics.hpp"
 #include "src/sim/device.hpp"
 
 namespace rasc::apps {
@@ -46,14 +45,11 @@ class FireAlarmTask final : public sim::Process {
   /// completion (availability of the critical task under attestation).
   sim::Duration max_sample_delay() const noexcept { return max_delay_; }
 
-  /// Samples whose delay exceeded config.deadline.
+  /// Samples whose delay exceeded config.deadline.  Each executed sample
+  /// is one deadline hit or miss fact (a = delay) emitted through the
+  /// simulator's observer, which also feeds the sample-delay histogram
+  /// and, for misses, a trace instant on the "app/<device>" track.
   std::size_t deadline_misses() const noexcept { return deadline_misses_; }
-
-  /// Attach a metrics registry (not owned).  Each executed sample records
-  /// its delay into the "fire_alarm.sample_delay_ms" histogram (p50/p95/
-  /// p99 response latency) and bumps "fire_alarm.samples"; misses bump
-  /// "fire_alarm.deadline_miss".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
 
   // sim::Process
   std::optional<sim::Segment> next_segment() override;
@@ -70,7 +66,6 @@ class FireAlarmTask final : public sim::Process {
   std::size_t samples_taken_ = 0;
   sim::Duration max_delay_ = 0;
   std::size_t deadline_misses_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace rasc::apps

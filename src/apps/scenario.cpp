@@ -154,8 +154,8 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
 
 NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config) {
   sim::Simulator simulator;
-  simulator.set_trace_sink(config.trace);
-  simulator.set_journal(config.journal);
+  obs::Observer observer(config.trace, config.journal, config.metrics);
+  simulator.set_observer(&observer);
   sim::DeviceConfig dev_config;
   dev_config.id = "prv-net";
   dev_config.memory_size = config.blocks * config.block_size;
@@ -202,16 +202,12 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   link_config.name = "prv->vrf";
   link_config.seed = support::splitmix64(link_seed_state);
   sim::Link prv_to_vrf(simulator, link_config);
-  vrf_to_prv.set_metrics(config.metrics);
-  prv_to_vrf.set_metrics(config.metrics);
 
   attest::SessionConfig session_config = config.session;
   std::uint64_t session_seed_state = config.seed ^ 0x5e5510;
   session_config.seed = support::splitmix64(session_seed_state);
   attest::ReliableSession session(device, verifier, mp, vrf_to_prv, prv_to_vrf,
                                   session_config);
-  session.set_metrics(config.metrics);
-  session.set_health(config.health);
 
   NetworkScenarioOutcome outcome;
   outcome.rounds_requested = config.rounds;
@@ -221,6 +217,7 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   // and rounds_resolved — visibly short.
   std::function<void()> start_round = [&] {
     session.run([&](attest::RoundResult result) {
+      if (config.health != nullptr) attest::record_round(*config.health, result);
       ++outcome.rounds_resolved;
       switch (result.outcome) {
         case attest::SessionOutcome::kVerified: ++outcome.verified; break;
@@ -270,8 +267,8 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   dev_config.block_size = real_block_size;
   dev_config.attestation_key = support::to_bytes("fire-alarm-key");
   sim::Device device(simulator, dev_config);
-  simulator.set_trace_sink(config.trace);
-  simulator.set_journal(config.journal);
+  obs::Observer observer(config.trace, config.journal, config.metrics);
+  simulator.set_observer(&observer);
   provision(device, config.provision_seed.value_or(0xf12e + config.seed));
   device.model().set_hash_time_scale(static_cast<double>(config.modeled_memory_bytes) /
                                      static_cast<double>(dev_config.memory_size));
@@ -295,7 +292,6 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   fa_config.period = config.sensor_period;
   fa_config.deadline = config.sample_deadline;
   FireAlarmTask alarm(device, fa_config);
-  alarm.set_metrics(config.metrics);
 
   FireAlarmScenarioOutcome outcome;
   const sim::Time t_mp = 2 * sim::kSecond;

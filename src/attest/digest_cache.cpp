@@ -1,5 +1,6 @@
 #include "src/attest/digest_cache.hpp"
 
+#include "src/sim/device.hpp"
 #include "src/support/bytes.hpp"
 
 namespace rasc::attest {
@@ -15,11 +16,9 @@ const Digest* DigestCache::lookup(std::size_t block, std::uint64_t generation,
   if (slot != nullptr && slot->valid && slot->generation == generation &&
       slot->hash == hash && slot->mac == mac && slot->key_fp == key_fp) {
     ++hits_;
-    if (metrics_ != nullptr) metrics_->counter("digest_cache.hit").inc();
     return &slot->digest;
   }
   ++misses_;
-  if (metrics_ != nullptr) metrics_->counter("digest_cache.miss").inc();
   return nullptr;
 }
 
@@ -35,28 +34,27 @@ void DigestCache::store(std::size_t block, std::uint64_t generation,
   slot.key_fp = key_fp;
   slot.digest = digest;
   ++stores_;
-  if (metrics_ != nullptr) metrics_->counter("digest_cache.store").inc();
 }
 
-void DigestCache::invalidate_block(std::size_t block, obs::TimeNs now) {
+void DigestCache::invalidate_block(std::size_t block, sim::Device* device) {
   if (block >= slots_.size()) return;
   const bool flushed = slots_[block].valid;
   slots_[block].valid = false;
-  if (journal_ != nullptr) {
-    journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheInvalidate,
-                     block, flushed ? 1 : 0);
+  if (device != nullptr) {
+    device->sim().emit(obs::JournalEventKind::kCacheInvalidate, {device->id()}, {}, 0,
+                       block, flushed ? 1 : 0);
   }
 }
 
-void DigestCache::invalidate_all(obs::TimeNs now) {
+void DigestCache::invalidate_all(sim::Device* device) {
   std::uint64_t flushed = 0;
   for (Slot& slot : slots_) {
     if (slot.valid) ++flushed;
     slot.valid = false;
   }
-  if (journal_ != nullptr) {
-    journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheInvalidate,
-                     ~0ull, flushed);
+  if (device != nullptr) {
+    device->sim().emit(obs::JournalEventKind::kCacheInvalidate, {device->id()}, {}, 0,
+                       ~0ull, flushed);
   }
 }
 

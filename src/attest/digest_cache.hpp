@@ -17,9 +17,9 @@
 /// MPU-rejected writes never bump a generation, so they (correctly) do
 /// not invalidate.
 ///
-/// Hit/miss/store counters are kept locally and, when a MetricsRegistry
-/// is attached, mirrored as "digest_cache.hit" / "digest_cache.miss" /
-/// "digest_cache.store" counters.
+/// Hit/miss/store counters are kept locally (hits()/misses()/stores());
+/// hits and misses are also journaled, with their visit time, by the
+/// Measurement that looked them up.
 
 #include <cstdint>
 #include <vector>
@@ -27,8 +27,10 @@
 #include "src/attest/digest.hpp"
 #include "src/attest/mac_engine.hpp"
 #include "src/crypto/hash.hpp"
-#include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
+
+namespace rasc::sim {
+class Device;
+}  // namespace rasc::sim
 
 namespace rasc::attest {
 
@@ -54,28 +56,18 @@ class DigestCache {
   void store(std::size_t block, std::uint64_t generation, crypto::HashKind hash,
              MacKind mac, std::uint64_t key_fp, const Digest& digest);
 
-  /// Explicit invalidation (key rotation, defensive flushes).  `now` is
-  /// the simulated time journaled with the flush when a journal is
-  /// attached; the cache itself is clock-free.
-  void invalidate_block(std::size_t block, obs::TimeNs now = 0);
-  void invalidate_all(obs::TimeNs now = 0);
+  /// Explicit invalidation (key rotation, defensive flushes).  The cache
+  /// itself is clock-free: given the `device` whose measurements it
+  /// serves, the flush is also one cache.invalidate fact about that
+  /// device, emitted through its simulator (a = block or ~0 for all,
+  /// b = entries flushed).
+  void invalidate_block(std::size_t block, sim::Device* device = nullptr);
+  void invalidate_all(sim::Device* device = nullptr);
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t stores() const noexcept { return stores_; }
   void reset_counters() noexcept { hits_ = misses_ = stores_ = 0; }
-
-  /// Attach a metrics registry (not owned; nullptr to detach): hit/miss/
-  /// store counters are then also accumulated there.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-
-  /// Attach a flight-recorder journal (not owned; nullptr to detach):
-  /// explicit invalidations are then journaled under `actor`.  Hits and
-  /// misses are journaled by the Measurement (which knows the visit time).
-  void set_journal(obs::EventJournal* journal, std::uint32_t actor) noexcept {
-    journal_ = journal;
-    journal_actor_ = actor;
-  }
 
   /// Stable 64-bit fingerprint of key material (first 8 bytes of its
   /// SHA-256, big-endian) — cache keys never retain the key itself.
@@ -95,9 +87,6 @@ class DigestCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventJournal* journal_ = nullptr;
-  std::uint32_t journal_actor_ = 0;
 };
 
 }  // namespace rasc::attest

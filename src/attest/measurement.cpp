@@ -61,14 +61,15 @@ void BlockDigester::digest_batch(std::span<const support::ByteView> blocks,
 
 Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
                          support::ByteView key, MeasurementContext context,
-                         Coverage coverage, MacKind mac)
+                         Coverage coverage, MacKind mac, obs::Observer* observer)
     : memory_(memory),
       hash_(hash),
       key_(key.begin(), key.end()),
       context_(std::move(context)),
       coverage_(coverage),
       mac_(mac),
-      digester_(mac, hash, key) {
+      digester_(mac, hash, key),
+      observer_(observer) {
   const std::size_t n = coverage_.resolve_count(memory);
   if (coverage_.first_block + n > memory.block_count()) {
     throw std::out_of_range("Measurement coverage exceeds memory");
@@ -80,6 +81,18 @@ Measurement::Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
 void Measurement::set_digest_cache(DigestCache* cache) {
   cache_ = cache;
   if (cache_ != nullptr) key_fp_ = DigestCache::key_fingerprint(key_);
+}
+
+const Digest* Measurement::cached(std::size_t block, std::uint64_t generation,
+                                  sim::Time now) {
+  const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_);
+  if (observer_ != nullptr) {
+    observer_->emit(now,
+                    hit != nullptr ? obs::JournalEventKind::kCacheHit
+                                   : obs::JournalEventKind::kCacheMiss,
+                    {context_.device_id, &journal_actor_}, {}, 0, block, generation);
+  }
+  return hit;
 }
 
 void Measurement::visit_block(std::size_t block, sim::Time now) {
@@ -103,17 +116,9 @@ void Measurement::visit_block(std::size_t block, sim::Time now,
                     content.data() == memory_.block_view(block).data();
   if (live) {
     const std::uint64_t generation = memory_.block_generation(block);
-    if (const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_)) {
-      if (journal_ != nullptr) {
-        journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheHit,
-                         block, generation);
-      }
+    if (const Digest* hit = cached(block, generation, now)) {
       block_digests_[rel] = *hit;
       return;
-    }
-    if (journal_ != nullptr) {
-      journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheMiss,
-                       block, generation);
     }
     digester_.digest(content, block_digests_[rel]);
     cache_->store(block, generation, hash_, mac_, key_fp_, block_digests_[rel]);
@@ -162,17 +167,9 @@ void Measurement::visit_blocks_impl(std::span<const std::size_t> blocks, sim::Ti
                       content.data() == memory_.block_view(block).data();
     if (live) {
       const std::uint64_t generation = memory_.block_generation(block);
-      if (const Digest* hit = cache_->lookup(block, generation, hash_, mac_, key_fp_)) {
-        if (journal_ != nullptr) {
-          journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheHit,
-                           block, generation);
-        }
+      if (const Digest* hit = cached(block, generation, now)) {
         block_digests_[rel] = *hit;
         continue;
-      }
-      if (journal_ != nullptr) {
-        journal_->append(now, journal_actor_, 0, 0, obs::JournalEventKind::kCacheMiss,
-                         block, generation);
       }
       batch_contents_.push_back(content);
       batch_outs_.push_back(&block_digests_[rel]);

@@ -25,8 +25,8 @@
 #include "src/attest/digest.hpp"
 #include "src/attest/digest_cache.hpp"
 #include "src/attest/mac_engine.hpp"
-#include "src/obs/journal.hpp"
 #include "src/crypto/hash.hpp"
+#include "src/obs/observer.hpp"
 #include "src/crypto/hmac.hpp"
 #include "src/sim/memory.hpp"
 #include "src/support/bytes.hpp"
@@ -86,9 +86,12 @@ class BlockDigester {
 
 class Measurement {
  public:
+  /// Cache hits and misses are facts about the measured device
+  /// (context.device_id) emitted through `observer` with their visit time;
+  /// a null observer (detached) costs one branch per cached visit.
   Measurement(const sim::DeviceMemory& memory, crypto::HashKind hash,
               support::ByteView key, MeasurementContext context, Coverage coverage = {},
-              MacKind mac = MacKind::kHmac);
+              MacKind mac = MacKind::kHmac, obs::Observer* observer = nullptr);
 
   /// Attach a digest cache (not owned; must outlive the measurement).
   /// Cached digests are consulted only for blocks read from live device
@@ -96,15 +99,6 @@ class Measurement {
   /// the block's generation matches — results are bit-identical to the
   /// uncached path.
   void set_digest_cache(DigestCache* cache);
-
-  /// Attach a flight-recorder journal (not owned; nullptr to detach):
-  /// cache hits and misses are then journaled under `actor` with the
-  /// visit time.  One null-check branch when detached — the measurement
-  /// hot path stays allocation-free either way.
-  void set_journal(obs::EventJournal* journal, std::uint32_t actor) noexcept {
-    journal_ = journal;
-    journal_actor_ = actor;
-  }
 
   /// Digest one block (index relative to memory, must lie inside the
   /// coverage).  May be called in any order; re-visiting overwrites the
@@ -196,8 +190,8 @@ class Measurement {
   MacKind mac_;
   BlockDigester digester_;
   DigestCache* cache_ = nullptr;
-  obs::EventJournal* journal_ = nullptr;
-  std::uint32_t journal_actor_ = 0;
+  obs::Observer* observer_;
+  obs::ActorId journal_actor_;  ///< context_.device_id, interned
   std::uint64_t key_fp_ = 0;  ///< computed when a cache is attached
   std::vector<Digest> block_digests_;
   std::vector<std::optional<sim::Time>> visit_times_;
@@ -205,6 +199,9 @@ class Measurement {
 
   void visit_blocks_impl(std::span<const std::size_t> blocks, sim::Time now,
                          std::span<const support::ByteView> contents);
+  /// Look `block` up in the cache (counting a hit or a miss) and emit the
+  /// matching fact; the cached digest, or nullptr on a miss.
+  const Digest* cached(std::size_t block, std::uint64_t generation, sim::Time now);
 
   /// visit_blocks scratch (cleared per call, capacity reused).
   struct PendingStore {

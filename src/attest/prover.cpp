@@ -171,20 +171,13 @@ void AttestationProcess::start(MeasurementContext context,
     ensure_tree();
   }
   measurement_.emplace(device_.memory(), config_.hash, device_.attestation_key(),
-                       std::move(context), config_.coverage, config_.mac);
+                       std::move(context), config_.coverage, config_.mac,
+                       device_.sim().observer());
   if (config_.use_digest_cache) {
     DigestCache& cache =
         shared_digest_cache_ != nullptr ? *shared_digest_cache_ : digest_cache_;
     cache.resize(device_.memory().block_count());
     measurement_->set_digest_cache(&cache);
-    if (auto* j = device_.sim().journal()) {
-      const std::uint32_t actor = j->intern(device_.id());
-      measurement_->set_journal(j, actor);
-      cache.set_journal(j, actor);
-    } else {
-      measurement_->set_journal(nullptr, 0);
-      cache.set_journal(nullptr, 0);
-    }
   }
   order_ = make_order();
   if (config_.use_merkle_tree) planned_nodes_ = tree_->tree().plan_rehash(order_);
@@ -340,12 +333,8 @@ void AttestationProcess::finish() {
   report.hash = config_.hash;
   if (config_.use_merkle_tree) {
     const mtree::RehashStats stats = tree_->flush_tree();
-    auto* journal = device_.sim().journal();
-    const std::uint32_t actor = journal ? journal->intern(device_.id()) : 0;
-    if (journal) {
-      journal->append(result_.t_e, actor, 0, 0, obs::JournalEventKind::kMtreeRehash,
-                      stats.dirty_leaves, stats.nodes_rehashed);
-    }
+    device_.sim().emit(obs::JournalEventKind::kMtreeRehash, {device_.id()}, {}, 0,
+                       stats.dirty_leaves, stats.nodes_rehashed);
     report.tree_root = tree_->root_bytes();
     report.measurement =
         Measurement::combine_root(report.tree_root, config_.hash,
@@ -378,10 +367,8 @@ void AttestationProcess::finish() {
       const std::size_t first = visited[i];
       const std::size_t count = j - i;
       report.proofs.push_back(tree_->prove_range(first, count));
-      if (journal) {
-        journal->append(result_.t_e, actor, 0, 0, obs::JournalEventKind::kMtreeProof,
-                        first, count);
-      }
+      device_.sim().emit(obs::JournalEventKind::kMtreeProof, {device_.id()}, {}, 0, first,
+                         count);
       i = j;
     }
   } else {

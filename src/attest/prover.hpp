@@ -97,7 +97,8 @@ class AttestationProcess final : public sim::Process {
 
   /// The process-owned digest cache (persists across measurements, so a
   /// second ERASMUS round only rehashes blocks written since the first).
-  /// Attach a MetricsRegistry via cache.set_metrics() for hit/miss export.
+  /// Its hits()/misses()/stores() count every lookup; each hit and miss
+  /// is also a journal fact about this device.
   DigestCache& digest_cache() noexcept { return digest_cache_; }
 
   /// Use an externally owned digest cache instead of the process-owned

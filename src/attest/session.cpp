@@ -5,30 +5,6 @@
 
 namespace rasc::attest {
 
-std::string session_outcome_name(SessionOutcome outcome) {
-  switch (outcome) {
-    case SessionOutcome::kVerified: return "verified";
-    case SessionOutcome::kCompromised: return "compromised";
-    case SessionOutcome::kTimeout: return "timeout";
-    case SessionOutcome::kCorruptReport: return "corrupt_report";
-    case SessionOutcome::kReplayRejected: return "replay_rejected";
-  }
-  return "?";
-}
-
-obs::RoundOutcome session_outcome_rollup(SessionOutcome outcome) {
-  // The obs mirror must track this enum one-to-one.
-  static_assert(obs::kRoundOutcomeCount == 5);
-  switch (outcome) {
-    case SessionOutcome::kVerified: return obs::RoundOutcome::kVerified;
-    case SessionOutcome::kCompromised: return obs::RoundOutcome::kCompromised;
-    case SessionOutcome::kTimeout: return obs::RoundOutcome::kTimeout;
-    case SessionOutcome::kCorruptReport: return obs::RoundOutcome::kCorruptReport;
-    case SessionOutcome::kReplayRejected: return obs::RoundOutcome::kReplayRejected;
-  }
-  return obs::RoundOutcome::kTimeout;
-}
-
 ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
                                  AttestationProcess& mp, sim::Link& vrf_to_prv,
                                  sim::Link& prv_to_vrf, SessionConfig config)
@@ -40,17 +16,10 @@ ReliableSession::ReliableSession(sim::Device& prover_device, Verifier& verifier,
       rng_(config_.seed),
       journal_label_("session/" + prover_device.id()) {}
 
-void ReliableSession::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
-
-void ReliableSession::journal(obs::JournalEventKind kind, std::uint64_t round,
-                              std::uint64_t a, std::uint64_t b) {
-  auto& sim = device_.sim();
-  if (auto* j = sim.journal()) {
-    j->append(sim.now(), journal_actor_.get(*j, device_.id()),
-              journal_session_.get(*j, journal_label_), round, kind, a, b);
-  }
+void ReliableSession::emit(obs::JournalEventKind kind, std::uint64_t round,
+                           std::uint64_t a, std::uint64_t b, obs::RoundDetail detail) {
+  device_.sim().emit(kind, {device_.id(), &journal_actor_},
+                     {journal_label_, &journal_session_}, round, a, b, detail);
 }
 
 void ReliableSession::run(std::function<void(RoundResult)> done) {
@@ -65,8 +34,8 @@ void ReliableSession::run(std::function<void(RoundResult)> done) {
   state_->result.t_started = device_.sim().now();
   state_->measure_time_at_start = mp_.total_measure_time();
   state_->done = std::move(done);
-  journal(obs::JournalEventKind::kSessionStart, state_->round_seq,
-          config_.max_attempts, config_.response_timeout);
+  emit(obs::JournalEventKind::kSessionStart, state_->round_seq, config_.max_attempts,
+       config_.response_timeout);
   start_attempt();
 }
 
@@ -75,14 +44,8 @@ void ReliableSession::start_attempt() {
   ++state_->result.attempts;
   state_->waiting_response = true;
   const std::uint64_t seq = state_->round_seq;
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(sim.now(), "session", "session.attempt",
-                  {obs::arg("attempt",
-                            static_cast<std::uint64_t>(state_->result.attempts))});
-  }
   const std::uint64_t counter = next_counter_++;
-  journal(obs::JournalEventKind::kSessionAttempt, seq, state_->result.attempts,
-          counter);
+  emit(obs::JournalEventKind::kSessionAttempt, seq, state_->result.attempts, counter);
   protocol_.run(counter, [this, seq](OnDemandTimings timings) {
     on_attempt_report(seq, std::move(timings));
   });
@@ -97,8 +60,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // report, or an answer that outlived its whole round): reject without
     // touching verifier state again.
     ++late_reports_;
-    count("session.late_reports");
-    journal(obs::JournalEventKind::kSessionLateReport, round_seq);
+    emit(obs::JournalEventKind::kSessionLateReport, round_seq);
     return;
   }
   RoundResult& result = state_->result;
@@ -108,9 +70,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // so retry immediately instead of waiting out the timer.
     ++result.corrupt_reports;
     ++corrupt_reports_;
-    count("session.corrupt_reports");
-    journal(obs::JournalEventKind::kSessionCorruptReport, round_seq,
-            result.attempts);
+    emit(obs::JournalEventKind::kSessionCorruptReport, round_seq, result.attempts);
     state_->saw_corrupt = true;
     if (!state_->waiting_response) return;  // already backing off
     state_->timeout.cancel();
@@ -127,9 +87,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // old counter.  Keep waiting — the genuine response may still come.
     ++result.replays_rejected;
     ++replays_rejected_;
-    count("session.replays_rejected");
-    journal(obs::JournalEventKind::kSessionReplayRejected, round_seq,
-            result.attempts);
+    emit(obs::JournalEventKind::kSessionReplayRejected, round_seq, result.attempts);
     state_->saw_replay = true;
     return;
   }
@@ -144,13 +102,8 @@ void ReliableSession::on_attempt_timeout(std::uint64_t round_seq) {
   if (!state_->waiting_response) return;  // superseded by a corrupt-retry
   RoundResult& result = state_->result;
   ++result.attempt_timeouts;
-  count("session.attempt_timeouts");
-  journal(obs::JournalEventKind::kSessionAttemptTimeout, round_seq,
-          result.attempts);
+  emit(obs::JournalEventKind::kSessionAttemptTimeout, round_seq, result.attempts);
   state_->waiting_response = false;
-  if (auto* sink = device_.sim().trace_sink()) {
-    sink->instant(device_.sim().now(), "session", "session.attempt_timeout");
-  }
   if (result.attempts >= config_.max_attempts) {
     // Exhausted.  Classify by the best evidence heard this round: garbled
     // answers beat stale ones beat pure silence.
@@ -187,13 +140,8 @@ void ReliableSession::schedule_retry() {
   }
   result.backoff_total += backoff;
   ++retries_;
-  count("session.retries");
-  journal(obs::JournalEventKind::kSessionBackoff, state_->round_seq,
-          result.attempts, backoff);
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(sim.now(), "session", "session.retry_scheduled",
-                  {obs::arg("backoff_ms", sim::to_millis(backoff))});
-  }
+  emit(obs::JournalEventKind::kSessionBackoff, state_->round_seq, result.attempts,
+       backoff);
   const std::uint64_t seq = state_->round_seq;
   state_->retry = sim.schedule_in(backoff, [this, seq] {
     if (state_ == nullptr || state_->round_seq != seq) return;
@@ -253,38 +201,9 @@ void ReliableSession::resolve(SessionOutcome outcome) {
       result.measure_time > useful ? result.measure_time - useful : 0;
 
   ++rounds_resolved_;
-  count("session.rounds");
-  journal(obs::JournalEventKind::kSessionResolved, state.round_seq,
-          static_cast<std::uint64_t>(session_outcome_rollup(outcome)),
-          result.wasted_measure_time);
-  if (health_ != nullptr) {
-    health_->record_round(session_outcome_rollup(outcome), result.attempts,
-                          result.t_resolved - result.t_started,
-                          result.measure_time, result.wasted_measure_time);
-    if (outcome == SessionOutcome::kCompromised && result.verdict.used_tree) {
-      if (result.verdict.localized.empty()) {
-        health_->record_unlocalized_compromise();
-      } else {
-        for (const auto& range : result.verdict.localized) {
-          health_->record_localization(range.first, range.count,
-                                       result.verdict.total_blocks);
-        }
-      }
-    }
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("session." + session_outcome_name(outcome)).inc();
-    metrics_
-        ->histogram("session.round_latency_ms",
-                    obs::Histogram::default_latency_bounds_ms())
-        .record(sim::to_millis(result.t_resolved - result.t_started));
-  }
-  if (auto* sink = sim.trace_sink()) {
-    sink->instant(result.t_resolved, "session", "session.resolved",
-                  {obs::arg("outcome", session_outcome_name(outcome)),
-                   obs::arg("attempts",
-                            static_cast<std::uint64_t>(result.attempts))});
-  }
+  emit(obs::JournalEventKind::kSessionResolved, state.round_seq,
+       static_cast<std::uint64_t>(outcome), result.wasted_measure_time,
+       {result.attempts, result.t_resolved - result.t_started});
 
   // Pop the state before invoking the callback so `done` may immediately
   // start the next round.
@@ -292,6 +211,20 @@ void ReliableSession::resolve(SessionOutcome outcome) {
   RoundResult finished = std::move(result);
   state_.reset();
   done(std::move(finished));
+}
+
+void record_round(obs::HealthRollup& health, const RoundResult& result) {
+  health.record_round(result.outcome, result.attempts,
+                      result.t_resolved - result.t_started, result.measure_time,
+                      result.wasted_measure_time);
+  if (result.outcome != SessionOutcome::kCompromised || !result.verdict.used_tree) return;
+  if (result.verdict.localized.empty()) {
+    health.record_unlocalized_compromise();
+    return;
+  }
+  for (const auto& range : result.verdict.localized) {
+    health.record_localization(range.first, range.count, result.verdict.total_blocks);
+  }
 }
 
 }  // namespace rasc::attest

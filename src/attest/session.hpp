@@ -30,24 +30,18 @@
 
 #include "src/attest/protocol.hpp"
 #include "src/obs/health.hpp"
-#include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace rasc::attest {
 
-enum class SessionOutcome {
-  kVerified,        ///< report verified: device healthy
-  kCompromised,     ///< authentic report, digest mismatch: device infected
-  kTimeout,         ///< retry budget exhausted in silence: unreachable
-  kCorruptReport,   ///< budget exhausted; answers arrived but were garbled
-  kReplayRejected,  ///< budget exhausted; only stale/duplicate reports heard
-};
-
-std::string session_outcome_name(SessionOutcome outcome);
-
-/// Map a terminal outcome to its obs-layer mirror (health rollups and the
-/// journal cannot depend on attest, so they carry obs::RoundOutcome).
-obs::RoundOutcome session_outcome_rollup(SessionOutcome outcome);
+/// Terminal outcome of one round.  The obs layer defines the taxonomy
+/// (health rollups and the journal cannot depend on attest):
+///   kVerified       report verified: device healthy
+///   kCompromised    authentic report, digest mismatch: device infected
+///   kTimeout        retry budget exhausted in silence: unreachable
+///   kCorruptReport  budget exhausted; answers arrived but were garbled
+///   kReplayRejected budget exhausted; only stale/duplicate reports heard
+/// obs::round_outcome_name gives the stable names.
+using SessionOutcome = obs::RoundOutcome;
 
 struct SessionConfig {
   /// How long each attempt waits for a verified report before giving up.
@@ -133,7 +127,8 @@ class ReliableSession {
   State save_state() const;
   void restore_state(const State& s);
 
-  /// Lifetime counters across rounds (also exported via set_metrics).
+  /// Lifetime counters across rounds.  Each event behind them is also one
+  /// session.* fact emitted through the simulator's observer.
   std::size_t rounds_resolved() const noexcept { return rounds_resolved_; }
   std::size_t retries() const noexcept { return retries_; }
   std::size_t replays_rejected() const noexcept { return replays_rejected_; }
@@ -141,21 +136,6 @@ class ReliableSession {
   /// Reports that arrived after their round resolved (e.g. a duplicated
   /// copy of the winning report) — rejected without re-judging.
   std::size_t late_reports() const noexcept { return late_reports_; }
-
-  /// Attach a metrics registry (not owned; nullptr to detach).  Rounds
-  /// then account "session.rounds", per-outcome counters
-  /// ("session.verified", "session.compromised", "session.timeout",
-  /// "session.corrupt_report", "session.replay_rejected"),
-  /// "session.retries", "session.attempt_timeouts",
-  /// "session.replays_rejected", "session.corrupt_reports",
-  /// "session.late_reports" and the "session.round_latency_ms" histogram.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-
-  /// Attach a fleet health rollup (not owned; nullptr to detach).  Every
-  /// resolved round records outcome, retry depth, latency and wasted
-  /// measurement time — the mergeable summary the exp shard pool folds
-  /// across trials.
-  void set_health(obs::HealthRollup* health) noexcept { health_ = health; }
 
  private:
   struct RoundState {
@@ -175,18 +155,15 @@ class ReliableSession {
   void on_attempt_timeout(std::uint64_t round_seq);
   void schedule_retry();
   void resolve(SessionOutcome outcome);
-  void count(const char* metric) const;
-  /// Journal one session event (round = round_seq of the affected round).
-  void journal(obs::JournalEventKind kind, std::uint64_t round, std::uint64_t a = 0,
-               std::uint64_t b = 0);
+  /// One session fact (round = round_seq of the affected round).
+  void emit(obs::JournalEventKind kind, std::uint64_t round, std::uint64_t a = 0,
+            std::uint64_t b = 0, obs::RoundDetail detail = {});
 
   sim::Device& device_;
   AttestationProcess& mp_;
   SessionConfig config_;
   OnDemandProtocol protocol_;
   support::Xoshiro256 rng_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::HealthRollup* health_ = nullptr;
   std::string journal_label_;      ///< journal session name, "session/<device>"
   obs::ActorId journal_actor_;     ///< prover device id
   obs::ActorId journal_session_;   ///< this session's id (interned label)
@@ -200,5 +177,11 @@ class ReliableSession {
   std::size_t corrupt_reports_ = 0;
   std::size_t late_reports_ = 0;
 };
+
+/// Fold one resolved round into a health rollup: outcome, retry depth,
+/// latency and measurement time, plus (compromised tree-mode rounds) the
+/// localized block ranges.  Drivers call it where results land — per
+/// shard in the fleet — since a session has no rollup of its own.
+void record_round(obs::HealthRollup& health, const RoundResult& result);
 
 }  // namespace rasc::attest

@@ -236,12 +236,7 @@ struct DeviceStack {
                 make_session_config(config, index)) {
     device.memory().load(shard.image);
     mp.set_shared_digest_cache(&shard.cache);
-    if (config.metrics != nullptr) {
-      verifier.set_metrics(config.metrics);
-      vrf_to_prv.set_metrics(config.metrics);
-      prv_to_vrf.set_metrics(config.metrics);
-      session.set_metrics(config.metrics);
-    }
+    verifier.set_metrics(config.metrics);
   }
 
   /// First-build provisioning (a rebuilt stack uses restore() instead).
@@ -338,6 +333,7 @@ struct FleetVerifier::Impl {
   bool ran = false;
 
   sim::Simulator simulator;
+  obs::Observer observer;
   std::vector<ShardState> shards;
   std::vector<std::uint64_t> shard_key_fps;
   /// Null slots are hibernated (or not yet admitted) devices.
@@ -382,7 +378,8 @@ struct FleetVerifier::Impl {
     wave = std::min(std::max<std::size_t>(config.devices / 64, 1),
                     devices_per_shard);
 
-    simulator.set_journal(config.journal);
+    observer = obs::Observer(nullptr, config.journal, config.metrics);
+    simulator.set_observer(&observer);
 
     shards.reserve(shard_count);
     shard_key_fps.reserve(shard_count);
@@ -398,15 +395,6 @@ struct FleetVerifier::Impl {
     return std::min(device / devices_per_shard, shard_count - 1);
   }
 
-  void journal_fleet(obs::JournalEventKind kind, std::size_t d, std::uint64_t a,
-                     std::uint64_t b) {
-    if (config.journal != nullptr) {
-      config.journal->append(simulator.now(),
-                             config.journal->intern("prv-" + std::to_string(d)),
-                             0, 0, kind, a, b);
-    }
-  }
-
   /// Live (or build) the stack for device d.  Rebuilds from the
   /// HibernatedDevice record when one exists, verifying the rebuild
   /// reproduced the captured key fingerprint and generation summary.
@@ -414,7 +402,6 @@ struct FleetVerifier::Impl {
     if (stacks[d]) return *stacks[d];
     const std::size_t s = shard_of(d);
     auto stack = std::make_unique<DeviceStack>(simulator, config, shards[s], d);
-    stack->session.set_health(&shards[s].health);
     ++live_stacks;
     result.live_stacks_high_water =
         std::max(result.live_stacks_high_water, live_stacks);
@@ -432,7 +419,8 @@ struct FleetVerifier::Impl {
       h.valid = false;
       ++h.wakes;
       ++result.wakes;
-      journal_fleet(obs::JournalEventKind::kFleetWake, d, h.wakes, live_stacks);
+      simulator.emit(obs::JournalEventKind::kFleetWake, {stack->device.id()}, {}, 0,
+                     h.wakes, live_stacks);
     } else {
       stack->provision(config, shards[s], roster.infected(d));
     }
@@ -445,8 +433,8 @@ struct FleetVerifier::Impl {
     const std::size_t s = shard_of(d);
     hibernated[d] = stacks[d]->hibernate(d, s, shard_key_fps[s],
                                          hibernated[d].wakes);
-    journal_fleet(obs::JournalEventKind::kFleetHibernate, d,
-                  stacks[d]->session.rounds_resolved(), live_stacks - 1);
+    simulator.emit(obs::JournalEventKind::kFleetHibernate, {stacks[d]->device.id()}, {},
+                   0, stacks[d]->session.rounds_resolved(), live_stacks - 1);
     stacks[d].reset();
     --live_stacks;
     ++result.hibernations;
@@ -572,7 +560,8 @@ struct FleetVerifier::Impl {
     rec.in_flight = false;
     --in_flight_count;
 
-    const obs::RoundOutcome outcome = attest::session_outcome_rollup(r.outcome);
+    const obs::RoundOutcome outcome = r.outcome;
+    attest::record_round(shards[shard_of(d)].health, r);
     RoundRecord& record = result.rounds[d * config.epochs + epoch];
     record.started = r.t_started;
     record.outcome = outcome;
@@ -595,8 +584,9 @@ struct FleetVerifier::Impl {
     EpochStats& es = result.epoch_stats[epoch];
     ++es.resolved;
     es.last_resolve = std::max(es.last_resolve.value_or(0), r.t_resolved);
-    // Independent epoch-grouped fold with the exact arguments the session
-    // records into its shard rollup — the two groupings must agree.
+    // Independent epoch-grouped fold with the exact arguments
+    // record_round() folds into the shard rollup — the two groupings must
+    // agree.
     es.health.record_round(outcome, r.attempts, r.t_resolved - r.t_started,
                            r.measure_time, r.wasted_measure_time);
 
@@ -696,8 +686,8 @@ struct FleetVerifier::Impl {
       }
     }
 
-    // Fleet total = shard-order merge of the per-shard rollups the
-    // sessions fed live.  It must agree (integer-exactly) with the merge
+    // Fleet total = shard-order merge of the per-shard rollups
+    // on_round_done fed live.  It must agree (integer-exactly) with the merge
     // of the independently accumulated per-epoch rollups — the same
     // rounds grouped two different ways — and with a reversed-order merge
     // (associativity/commutativity witness on real data).
@@ -737,26 +727,20 @@ struct FleetVerifier::Impl {
     // Link counters survive hibernation inside the saved Link::State, so
     // the fleet totals cover live and hibernated devices alike.
     for (std::size_t d = 0; d < config.devices; ++d) {
+      std::array<const sim::Link::Counters*, 2> links{};
       if (stacks[d]) {
-        for (const sim::Link* link :
-             {&stacks[d]->vrf_to_prv, &stacks[d]->prv_to_vrf}) {
-          result.link_sent += link->sent();
-          result.link_delivered += link->delivered();
-          result.link_dropped += link->dropped();
-          result.link_duplicated += link->duplicated();
-          result.link_corrupted += link->corrupted();
-          result.link_reordered += link->reordered();
-        }
+        links = {&stacks[d]->vrf_to_prv.counters(), &stacks[d]->prv_to_vrf.counters()};
       } else if (!hibernated.empty() && hibernated[d].valid) {
-        for (const sim::Link::State* link :
-             {&hibernated[d].vrf_to_prv, &hibernated[d].prv_to_vrf}) {
-          result.link_sent += link->sent;
-          result.link_delivered += link->delivered;
-          result.link_dropped += link->dropped;
-          result.link_duplicated += link->duplicated;
-          result.link_corrupted += link->corrupted;
-          result.link_reordered += link->reordered;
-        }
+        links = {&hibernated[d].vrf_to_prv.counters, &hibernated[d].prv_to_vrf.counters};
+      }
+      for (const sim::Link::Counters* link : links) {
+        if (link == nullptr) continue;
+        result.link_sent += link->sent;
+        result.link_delivered += link->delivered;
+        result.link_dropped += link->dropped;
+        result.link_duplicated += link->duplicated;
+        result.link_corrupted += link->corrupted;
+        result.link_reordered += link->reordered;
       }
     }
     if (result.link_delivered !=
@@ -918,7 +902,7 @@ std::vector<obs::RoundOutcome> replay_device(
     if (r >= start_times.size()) return;
     simulator.schedule_at(start_times[r], [&, r] {
       stack.session.run([&, r](attest::RoundResult res) {
-        outcomes.push_back(attest::session_outcome_rollup(res.outcome));
+        outcomes.push_back(res.outcome);
         schedule_round(r + 1);
       });
     });

@@ -23,7 +23,9 @@
 ///    rebuilt at their next admission;
 ///  - every resolved round feeds three independent obs::HealthRollup
 ///    folds (per shard, per epoch, fleet total) whose integer aggregates
-///    must agree — one of the invariants checked after every epoch.
+///    must agree — one of the invariants checked after every epoch.  The
+///    fleet folds each RoundResult where it lands (sessions hold no
+///    rollup), so all shards share one simulator and its one observer.
 ///
 /// Determinism: a fleet run is a pure function of (FleetConfig, Roster).
 /// All per-device randomness (links, session jitter, challenges) derives
@@ -200,9 +202,9 @@ struct FleetResult {
   std::vector<RoundRecord> rounds;
   std::vector<EpochStats> epoch_stats;
 
-  /// Per-shard folds (fed live by the sessions) and their shard-order
-  /// merge.  The invariant checker verifies the integer aggregates of
-  /// `health` equal the merge of epoch_stats[*].health — the same rounds
+  /// Per-shard folds (attest::record_round in the round callback) and their
+  /// shard-order merge.  The invariant checker verifies the integer
+  /// aggregates of `health` equal the merge of epoch_stats[*].health — the same rounds
   /// grouped two independent ways.
   std::vector<obs::HealthRollup> shard_health;
   obs::HealthRollup health;

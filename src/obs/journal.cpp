@@ -6,37 +6,6 @@
 
 namespace rasc::obs {
 
-std::string_view journal_event_kind_name(JournalEventKind kind) {
-  switch (kind) {
-    case JournalEventKind::kLinkSend: return "link.send";
-    case JournalEventKind::kLinkDeliver: return "link.deliver";
-    case JournalEventKind::kLinkDrop: return "link.drop";
-    case JournalEventKind::kLinkPartitionDrop: return "link.partition_drop";
-    case JournalEventKind::kLinkDuplicate: return "link.duplicate";
-    case JournalEventKind::kLinkCorrupt: return "link.corrupt";
-    case JournalEventKind::kLinkReorder: return "link.reorder";
-    case JournalEventKind::kSessionStart: return "session.start";
-    case JournalEventKind::kSessionAttempt: return "session.attempt";
-    case JournalEventKind::kSessionAttemptTimeout: return "session.attempt_timeout";
-    case JournalEventKind::kSessionBackoff: return "session.backoff";
-    case JournalEventKind::kSessionReplayRejected: return "session.replay_rejected";
-    case JournalEventKind::kSessionCorruptReport: return "session.corrupt_report";
-    case JournalEventKind::kSessionLateReport: return "session.late_report";
-    case JournalEventKind::kSessionResolved: return "session.resolved";
-    case JournalEventKind::kCacheHit: return "cache.hit";
-    case JournalEventKind::kCacheMiss: return "cache.miss";
-    case JournalEventKind::kCacheInvalidate: return "cache.invalidate";
-    case JournalEventKind::kDeadlineHit: return "app.deadline_hit";
-    case JournalEventKind::kDeadlineMiss: return "app.deadline_miss";
-    case JournalEventKind::kAlarmRaised: return "app.alarm_raised";
-    case JournalEventKind::kMtreeRehash: return "mtree.rehash";
-    case JournalEventKind::kMtreeProof: return "mtree.proof";
-    case JournalEventKind::kFleetHibernate: return "fleet.hibernate";
-    case JournalEventKind::kFleetWake: return "fleet.wake";
-  }
-  return "?";
-}
-
 EventJournal::EventJournal(std::size_t capacity) { set_capacity(capacity); }
 
 void EventJournal::set_capacity(std::size_t capacity) {

@@ -12,8 +12,10 @@
 ///    kind, two u64 args) — appending allocates nothing;
 ///  - the ring is preallocated; when full the OLDEST events are
 ///    overwritten first (flight-recorder semantics) and dropped() counts;
-///  - the disabled path is a single null-pointer branch at each event
-///    site (`if (auto* j = sim.journal()) ...`), exactly like trace_sink;
+///  - events arrive through obs::Observer::emit (observer.hpp), which
+///    also feeds the trace and metrics channels from the same call; a
+///    detached simulation pays one null branch per site
+///    (`sim.emit(...)`);
 ///  - NDJSON export is a pure function of the recorded events, so a
 ///    journal captured from a deterministic simulation is byte-identical
 ///    across runs and thread counts like every other artifact.
@@ -67,8 +69,11 @@ enum class JournalEventKind : std::uint8_t {
   kFleetHibernate,  ///< a = rounds resolved so far, b = live stacks after
   kFleetWake,       ///< a = wakes of this device so far, b = live stacks after
 };
+inline constexpr std::size_t kJournalEventKindCount =
+    static_cast<std::size_t>(JournalEventKind::kFleetWake) + 1;
 
-/// Stable machine name ("link.drop", "session.resolved", ...).
+/// Stable machine name ("link.drop", "session.resolved", ...), read from
+/// the per-kind table in observer.cpp.
 std::string_view journal_event_kind_name(JournalEventKind kind);
 
 struct JournalEvent {

@@ -5,58 +5,8 @@
 
 namespace rasc::sim {
 
-namespace {
-
-obs::TraceArg bytes_arg(std::size_t size) {
-  return obs::arg("bytes", static_cast<std::uint64_t>(size));
-}
-
-}  // namespace
-
-void Link::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
-
-void Link::journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b) {
-  if (auto* j = sim_.journal()) {
-    j->append(sim_.now(), journal_actor_.get(*j, config_.name), 0, 0, kind, msg_id, b);
-  }
-}
-
-void Link::reset_counters() noexcept {
-  sent_ = 0;
-  delivered_ = 0;
-  dropped_ = 0;
-  duplicated_ = 0;
-  corrupted_ = 0;
-  reordered_ = 0;
-  partition_dropped_ = 0;
-}
-
-Link::State Link::save_state() const noexcept {
-  State s;
-  s.rng = rng_.state();
-  s.next_msg_id = next_msg_id_;
-  s.sent = sent_;
-  s.delivered = delivered_;
-  s.dropped = dropped_;
-  s.duplicated = duplicated_;
-  s.corrupted = corrupted_;
-  s.reordered = reordered_;
-  s.partition_dropped = partition_dropped_;
-  return s;
-}
-
-void Link::restore_state(const State& s) noexcept {
-  rng_.set_state(s.rng);
-  next_msg_id_ = s.next_msg_id;
-  sent_ = s.sent;
-  delivered_ = s.delivered;
-  dropped_ = s.dropped;
-  duplicated_ = s.duplicated;
-  corrupted_ = s.corrupted;
-  reordered_ = s.reordered;
-  partition_dropped_ = s.partition_dropped;
+void Link::emit(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b) {
+  sim_.emit(kind, {config_.name, &journal_actor_}, {}, 0, msg_id, b);
 }
 
 bool Link::in_partition(Time t) const noexcept {
@@ -91,7 +41,8 @@ Duration Link::transit_time(std::size_t bytes) {
 void Link::deliver_after(Duration transit, support::Bytes payload, Handler handler,
                          std::uint64_t msg_id) {
   if (auto* sink = sim_.trace_sink()) {
-    sink->complete(sim_.now(), transit, "net", "net.transit", {bytes_arg(payload.size())});
+    sink->complete(sim_.now(), transit, "net", "net.transit",
+                   {obs::arg("bytes", static_cast<std::uint64_t>(payload.size()))});
   }
   ++in_flight_;
   sim_.schedule_in(transit, [this, token = std::weak_ptr<bool>(alive_), msg_id,
@@ -99,39 +50,26 @@ void Link::deliver_after(Duration transit, support::Bytes payload, Handler handl
                              handler = std::move(handler)]() mutable {
     if (token.expired()) return;  // link destroyed while in flight
     --in_flight_;
-    ++delivered_;
-    count("net.delivered");
-    journal(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
+    ++counters_.delivered;
+    emit(obs::JournalEventKind::kLinkDeliver, msg_id, payload.size());
     handler(std::move(payload));
   });
 }
 
 void Link::send(support::Bytes payload, Handler on_delivery) {
-  ++sent_;
-  count("net.sent");
+  ++counters_.sent;
   const std::uint64_t msg_id = ++next_msg_id_;
-  const Time sent_at = sim_.now();
-  obs::TraceSink* sink = sim_.trace_sink();
-  journal(obs::JournalEventKind::kLinkSend, msg_id, payload.size());
+  emit(obs::JournalEventKind::kLinkSend, msg_id, payload.size());
 
-  if (in_partition(sent_at)) {
-    ++dropped_;
-    ++partition_dropped_;
-    count("net.dropped");
-    count("net.partition_dropped");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.partition_drop", {bytes_arg(payload.size())});
-    }
-    journal(obs::JournalEventKind::kLinkPartitionDrop, msg_id, payload.size());
+  if (in_partition(sim_.now())) {
+    ++counters_.dropped;
+    ++counters_.partition_dropped;
+    emit(obs::JournalEventKind::kLinkPartitionDrop, msg_id, payload.size());
     return;
   }
   if (rng_.chance(config_.drop_probability)) {
-    ++dropped_;
-    count("net.dropped");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.drop", {bytes_arg(payload.size())});
-    }
-    journal(obs::JournalEventKind::kLinkDrop, msg_id, payload.size());
+    ++counters_.dropped;
+    emit(obs::JournalEventKind::kLinkDrop, msg_id, payload.size());
     return;
   }
 
@@ -140,31 +78,22 @@ void Link::send(support::Bytes payload, Handler on_delivery) {
     // from the link RNG so corruption is reproducible from the seed.
     const std::size_t at = rng_.below(payload.size());
     payload[at] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
-    ++corrupted_;
-    count("net.corrupted");
-    if (sink != nullptr) {
-      sink->instant(sent_at, "net", "net.corrupt",
-                    {obs::arg("offset", static_cast<std::uint64_t>(at))});
-    }
-    journal(obs::JournalEventKind::kLinkCorrupt, msg_id, at);
+    ++counters_.corrupted;
+    emit(obs::JournalEventKind::kLinkCorrupt, msg_id, at);
   }
 
   Duration transit = transit_time(payload.size());
   if (rng_.chance(config_.reorder_probability)) {
     transit += config_.reorder_delay;
-    ++reordered_;
-    count("net.reordered");
-    if (sink != nullptr) sink->instant(sent_at, "net", "net.reorder");
-    journal(obs::JournalEventKind::kLinkReorder, msg_id, config_.reorder_delay);
+    ++counters_.reordered;
+    emit(obs::JournalEventKind::kLinkReorder, msg_id, config_.reorder_delay);
   }
 
   const bool duplicate = rng_.chance(config_.duplicate_probability);
   if (duplicate) {
     const Duration copy_transit = transit + transit_time(payload.size());
-    ++duplicated_;
-    count("net.duplicated");
-    if (sink != nullptr) sink->instant(sent_at, "net", "net.duplicate");
-    journal(obs::JournalEventKind::kLinkDuplicate, msg_id, copy_transit);
+    ++counters_.duplicated;
+    emit(obs::JournalEventKind::kLinkDuplicate, msg_id, copy_transit);
     // The copy rides behind the original with its own second transit.
     deliver_after(copy_transit, payload, on_delivery, msg_id);
   }

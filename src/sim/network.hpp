@@ -12,8 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/bytes.hpp"
 #include "src/support/rng.hpp"
@@ -68,30 +66,33 @@ class Link {
   /// exact message that was dropped/duplicated/corrupted.
   void send(support::Bytes payload, Handler on_delivery);
 
-  std::size_t sent() const noexcept { return sent_; }
-  /// Delivered handler invocations; duplicates count once each, so after
-  /// the queue drains: delivered() == sent() - dropped() + duplicated().
-  std::size_t delivered() const noexcept { return delivered_; }
-  std::size_t dropped() const noexcept { return dropped_; }
-  std::size_t duplicated() const noexcept { return duplicated_; }
-  std::size_t corrupted() const noexcept { return corrupted_; }
-  std::size_t reordered() const noexcept { return reordered_; }
-  /// Subset of dropped(): losses caused by a partition window.
-  std::size_t partition_dropped() const noexcept { return partition_dropped_; }
+  /// Lifetime fates of the messages sent.  Duplicates count once each in
+  /// `delivered`, so after the queue drains:
+  /// delivered == sent - dropped + duplicated.
+  struct Counters {
+    std::size_t sent = 0;
+    std::size_t delivered = 0;
+    std::size_t dropped = 0;
+    std::size_t duplicated = 0;
+    std::size_t corrupted = 0;
+    std::size_t reordered = 0;
+    std::size_t partition_dropped = 0;  ///< subset of dropped: partition windows
+  };
+  const Counters& counters() const noexcept { return counters_; }
+  std::size_t sent() const noexcept { return counters_.sent; }
+  std::size_t delivered() const noexcept { return counters_.delivered; }
+  std::size_t dropped() const noexcept { return counters_.dropped; }
+  std::size_t duplicated() const noexcept { return counters_.duplicated; }
+  std::size_t corrupted() const noexcept { return counters_.corrupted; }
+  std::size_t reordered() const noexcept { return counters_.reordered; }
+  std::size_t partition_dropped() const noexcept { return counters_.partition_dropped; }
 
-  /// Zero every per-fault counter (sent/delivered/dropped/duplicated/
-  /// corrupted/reordered/partition_dropped) so a harness reusing one link
-  /// across trials can assert the delivered == sent - dropped + duplicated
-  /// invariant per trial instead of cumulatively.  Message ids keep
-  /// counting up (they tag journal events, and a restart would alias
-  /// fates across trials); the fault RNG is likewise not rewound.
-  void reset_counters() noexcept;
-
-  /// Attach a metrics registry (not owned; nullptr to detach).  The link
-  /// then accounts "net.sent", "net.delivered", "net.dropped",
-  /// "net.duplicated", "net.corrupted", "net.reordered" and
-  /// "net.partition_dropped".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  /// Zero every counter so a harness reusing one link across trials can
+  /// assert the delivered == sent - dropped + duplicated invariant per
+  /// trial instead of cumulatively.  Message ids keep counting up (they
+  /// tag journal events, and a restart would alias fates across trials);
+  /// the fault RNG is likewise not rewound.
+  void reset_counters() noexcept { counters_ = {}; }
 
   const LinkConfig& config() const noexcept { return config_; }
 
@@ -107,17 +108,15 @@ class Link {
   struct State {
     support::Xoshiro256::State rng{};
     std::uint64_t next_msg_id = 0;
-    std::size_t sent = 0;
-    std::size_t delivered = 0;
-    std::size_t dropped = 0;
-    std::size_t duplicated = 0;
-    std::size_t corrupted = 0;
-    std::size_t reordered = 0;
-    std::size_t partition_dropped = 0;
+    Counters counters;
   };
 
-  State save_state() const noexcept;
-  void restore_state(const State& s) noexcept;
+  State save_state() const noexcept { return {rng_.state(), next_msg_id_, counters_}; }
+  void restore_state(const State& s) noexcept {
+    rng_.set_state(s.rng);
+    next_msg_id_ = s.next_msg_id;
+    counters_ = s.counters;
+  }
 
  private:
   /// base latency + jitter draw + rounded-to-nearest serialization delay
@@ -127,20 +126,13 @@ class Link {
   bool in_partition(Time t) const noexcept;
   void deliver_after(Duration transit, support::Bytes payload, Handler handler,
                      std::uint64_t msg_id);
-  void count(const char* metric) const;
-  void journal(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b);
+  /// One fact about message `msg_id` (journal actor = the link name).
+  void emit(obs::JournalEventKind kind, std::uint64_t msg_id, std::uint64_t b);
 
   Simulator& sim_;
   LinkConfig config_;
   support::Xoshiro256 rng_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::size_t sent_ = 0;
-  std::size_t delivered_ = 0;
-  std::size_t dropped_ = 0;
-  std::size_t duplicated_ = 0;
-  std::size_t corrupted_ = 0;
-  std::size_t reordered_ = 0;
-  std::size_t partition_dropped_ = 0;
+  Counters counters_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_msg_id_ = 0;
   obs::ActorId journal_actor_;

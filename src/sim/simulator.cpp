@@ -32,9 +32,10 @@ bool Simulator::fire_next() {
     *ev.alive = false;
     now_ = ev.time;
     ++events_fired_;
-    if (trace_ != nullptr && events_fired_ % 4096 == 0) {
-      trace_->counter(now_, "sim", "sim.queue_depth",
-                      static_cast<double>(queue_.size()));
+    if (observer_ != nullptr && events_fired_ % 4096 == 0) {
+      if (auto* sink = observer_->trace()) {
+        sink->counter(now_, "sim", "sim.queue_depth", static_cast<double>(queue_.size()));
+      }
     }
     ev.fn();
     return true;

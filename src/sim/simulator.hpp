@@ -10,8 +10,7 @@
 #include <queue>
 #include <vector>
 
-#include "src/obs/journal.hpp"
-#include "src/obs/trace.hpp"
+#include "src/obs/observer.hpp"
 #include "src/sim/time.hpp"
 
 namespace rasc::sim {
@@ -62,20 +61,26 @@ class Simulator {
   std::size_t pending_events() const noexcept { return queue_.size(); }
   std::size_t events_fired() const noexcept { return events_fired_; }
 
-  /// Attach a trace sink (not owned; may be nullptr to detach).  All
-  /// simulation components reach the sink through their Simulator, so one
-  /// call instruments the whole device: CPU segments, memory locks,
-  /// network transits, attestation phases.  The dispatcher itself samples
-  /// queue depth onto the "sim" track every few thousand events.
-  void set_trace_sink(obs::TraceSink* sink) noexcept { trace_ = sink; }
-  obs::TraceSink* trace_sink() const noexcept { return trace_; }
+  /// Attach the observer (not owned; nullptr to detach): the single
+  /// attachment point for journal, trace sink and metrics.  Components
+  /// reach it through their Simulator — facts via emit(), span-only traces
+  /// (CPU segments, transits, attestation phases) via trace_sink() — so
+  /// one call instruments every device, and the simulation is
+  /// bit-identical with or without it.  The dispatcher samples queue
+  /// depth onto the "sim" track every few thousand events.
+  void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
+  obs::Observer* observer() const noexcept { return observer_; }
+  obs::TraceSink* trace_sink() const noexcept {
+    return observer_ != nullptr ? observer_->trace() : nullptr;
+  }
 
-  /// Attach a flight-recorder journal (not owned; nullptr to detach).
-  /// Same plumbing pattern as the trace sink: components query
-  /// `sim.journal()` at each event site, so the disabled path is one null
-  /// check and the simulation is bit-identical with or without it.
-  void set_journal(obs::EventJournal* journal) noexcept { journal_ = journal; }
-  obs::EventJournal* journal() const noexcept { return journal_; }
+  /// Record one fact at now() through the observer (see observer.hpp);
+  /// detached, this is one inline null branch.
+  void emit(obs::JournalEventKind kind, obs::ActorRef actor, obs::ActorRef session,
+            std::uint64_t round, std::uint64_t a, std::uint64_t b,
+            obs::RoundDetail detail = {}) {
+    if (observer_ != nullptr) observer_->emit(now_, kind, actor, session, round, a, b, detail);
+  }
 
  private:
   struct Event {
@@ -96,8 +101,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t events_fired_ = 0;
-  obs::TraceSink* trace_ = nullptr;
-  obs::EventJournal* journal_ = nullptr;
+  obs::Observer* observer_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

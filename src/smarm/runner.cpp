@@ -53,7 +53,8 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
     malware.on_measurement_progress(done, total);
   });
 
-  simulator.set_trace_sink(config.trace);
+  obs::Observer observer(config.trace);
+  simulator.set_observer(&observer);
   if (config.metrics != nullptr) verifier.set_metrics(config.metrics);
 
   RunnerOutcome outcome;

@@ -113,8 +113,8 @@ TEST(VisitBlocks, IdenticalToScalarVisitsWithCacheAndJournal) {
     scalar_cache.resize(kBlocks);
     batch_cache.resize(kBlocks);
     obs::EventJournal scalar_journal, batch_journal;
-    const std::uint32_t scalar_actor = scalar_journal.intern("prv");
-    const std::uint32_t batch_actor = batch_journal.intern("prv");
+    obs::Observer scalar_observer(nullptr, &scalar_journal);
+    obs::Observer batch_observer(nullptr, &batch_journal);
 
     // Round 1 fills both caches; round 2 (after identical dirtying) mixes
     // hits and misses.  Every round must agree on bytes, cache counters
@@ -125,12 +125,12 @@ TEST(VisitBlocks, IdenticalToScalarVisitsWithCacheAndJournal) {
         fx.dirty_both(17, static_cast<std::uint8_t>(round + 100));
       }
       const MeasurementContext context{"prv", {}, round};
-      Measurement scalar(fx.scalar_mem, hash, fx.key, context);
+      Measurement scalar(fx.scalar_mem, hash, fx.key, context, {}, MacKind::kHmac,
+                         &scalar_observer);
       scalar.set_digest_cache(&scalar_cache);
-      scalar.set_journal(&scalar_journal, scalar_actor);
-      Measurement batch(fx.batch_mem, hash, fx.key, context);
+      Measurement batch(fx.batch_mem, hash, fx.key, context, {}, MacKind::kHmac,
+                        &batch_observer);
       batch.set_digest_cache(&batch_cache);
-      batch.set_journal(&batch_journal, batch_actor);
 
       std::vector<std::size_t> order;
       for (std::size_t b = 0; b < kBlocks; ++b) order.push_back(b);

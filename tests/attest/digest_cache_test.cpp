@@ -5,7 +5,7 @@
 #include "src/attest/measurement.hpp"
 #include "src/attest/prover.hpp"
 #include "src/malware/relocating.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/obs/observer.hpp"
 #include "src/sim/device.hpp"
 #include "src/support/rng.hpp"
 
@@ -204,20 +204,50 @@ TEST(DigestCache, InvalidateAllAndBlock) {
   EXPECT_EQ(cache.hits(), kBlocks - 1);  // unchanged: the pass was all misses
 }
 
-TEST(DigestCache, ExportsMetrics) {
-  auto mem = make_memory();
-  DigestCache cache;
-  cache.resize(kBlocks);
+TEST(DigestCache, HitsMissesAndFlushesAreJournaledOnce) {
+  // Each cache fact reaches the observer once: a hit or a miss per cached
+  // visit (emitted by the Measurement at its visit time, about the
+  // measured device) and one cache.invalidate per explicit flush (about
+  // the device handed to the cache).  No kind bumps a metrics counter;
+  // the cache's own tallies are hits()/misses()/stores().
+  sim::Simulator simulator;
+  sim::Device device(simulator, sim::DeviceConfig{"dev-1", kBlocks * kBlockSize,
+                                                  kBlockSize, to_bytes("k")});
+  obs::EventJournal journal;
   obs::MetricsRegistry metrics;
-  cache.set_metrics(&metrics);
-  measure(mem, cache, to_bytes("k"), 1);
-  measure(mem, cache, to_bytes("k"), 2);
-  ASSERT_NE(metrics.find_counter("digest_cache.hit"), nullptr);
-  ASSERT_NE(metrics.find_counter("digest_cache.miss"), nullptr);
-  ASSERT_NE(metrics.find_counter("digest_cache.store"), nullptr);
-  EXPECT_EQ(metrics.find_counter("digest_cache.hit")->value(), kBlocks);
-  EXPECT_EQ(metrics.find_counter("digest_cache.miss")->value(), kBlocks);
-  EXPECT_EQ(metrics.find_counter("digest_cache.store")->value(), kBlocks);
+  obs::Observer observer(nullptr, &journal, &metrics);
+  simulator.set_observer(&observer);
+  DigestCache cache(kBlocks);
+  for (std::uint64_t counter = 1; counter <= 2; ++counter) {
+    Measurement m(device.memory(), crypto::HashKind::kSha256, to_bytes("k"),
+                  ctx(counter), {}, MacKind::kHmac, simulator.observer());
+    m.set_digest_cache(&cache);
+    for (std::size_t b = 0; b < kBlocks; ++b) m.visit_block(b, 10 * counter + b);
+  }
+  cache.invalidate_block(3, &device);
+  cache.invalidate_all(&device);
+
+  EXPECT_EQ(cache.hits(), kBlocks);
+  EXPECT_EQ(cache.misses(), kBlocks);
+  EXPECT_EQ(cache.stores(), kBlocks);
+  const auto of_kind = [](obs::JournalEventKind kind) {
+    obs::JournalFilter filter;
+    filter.kind = kind;
+    return filter;
+  };
+  EXPECT_EQ(journal.count(of_kind(obs::JournalEventKind::kCacheMiss)), kBlocks);
+  EXPECT_EQ(journal.count(of_kind(obs::JournalEventKind::kCacheHit)), kBlocks);
+  const auto hit = journal.first(of_kind(obs::JournalEventKind::kCacheHit));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->time, 20u);
+  EXPECT_EQ(journal.actor_name(hit->actor), "dev-1");
+  const auto flushes = journal.select(of_kind(obs::JournalEventKind::kCacheInvalidate));
+  ASSERT_EQ(flushes.size(), 2u);
+  EXPECT_EQ(flushes[0].a, 3u);
+  EXPECT_EQ(flushes[0].b, 1u);
+  EXPECT_EQ(flushes[1].a, ~0ull);
+  EXPECT_EQ(flushes[1].b, kBlocks - 1);
+  EXPECT_TRUE(metrics.empty());
 }
 
 TEST(DigestCache, ProverOwnedCachePersistsAcrossMeasurements) {

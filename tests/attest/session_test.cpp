@@ -235,7 +235,8 @@ TEST(ReliableSession, MetricsAccountTerminalOutcomes) {
   dead.drop_probability = 1.0;
   SessionHarness fx(SessionHarness::with_links(dead, {}));
   obs::MetricsRegistry metrics;
-  fx.session.set_metrics(&metrics);
+  obs::Observer observer(nullptr, nullptr, &metrics);
+  fx.simulator.set_observer(&observer);
   (void)fx.run_round();
   ASSERT_NE(metrics.find_counter("session.rounds"), nullptr);
   EXPECT_EQ(metrics.find_counter("session.rounds")->value(), 1u);

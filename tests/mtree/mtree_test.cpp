@@ -142,7 +142,7 @@ TEST(MerkleTree, MemoryBytesGrowsWithLeafCount) {
 TEST(MtreeProof, VerifiesAndRoundTripsWire) {
   const MerkleTree tree = make_tree(29);
   const support::Bytes root = tree.root_bytes();
-  for (const auto [first, count] :
+  for (const auto& [first, count] :
        {std::pair<std::size_t, std::size_t>{0, 1}, {28, 1}, {3, 7}, {0, 29}}) {
     const MtreeProof proof = tree.prove_range(first, count);
     EXPECT_TRUE(proof.verify(root)) << first << "+" << count;

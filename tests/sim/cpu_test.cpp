@@ -195,7 +195,8 @@ TEST(Cpu, ShrinkingTraceCapacityTrimsExisting) {
 TEST(Cpu, SegmentsReportToAttachedTraceSink) {
   Simulator sim;
   obs::TraceSink sink;
-  sim.set_trace_sink(&sink);
+  obs::Observer observer(&sink);
+  sim.set_observer(&observer);
   Cpu cpu(sim);
   cpu.set_trace_track("cpu/test");
   ScriptedProcess p("worker", 1, {10, 20}, sim);

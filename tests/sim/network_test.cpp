@@ -245,7 +245,8 @@ FaultRunArtifacts run_faulty_link_once() {
   Simulator sim;
   obs::TraceSink trace;
   obs::MetricsRegistry metrics;
-  sim.set_trace_sink(&trace);
+  obs::Observer observer(&trace, nullptr, &metrics);
+  sim.set_observer(&observer);
   LinkConfig config;
   config.drop_probability = 0.2;
   config.duplicate_probability = 0.2;
@@ -254,7 +255,6 @@ FaultRunArtifacts run_faulty_link_once() {
   config.partitions.push_back({50 * kMillisecond, 80 * kMillisecond});
   config.seed = 99;
   Link link(sim, config);
-  link.set_metrics(&metrics);
   for (int i = 0; i < 500; ++i) {
     sim.schedule_at(static_cast<Time>(i) * 300 * kMicrosecond, [&] {
       link.send(support::Bytes(64, 0xab), [](support::Bytes) {});

@@ -152,8 +152,8 @@ inline ::testing::AssertionResult resolved_as(const attest::RoundResult& result,
                                               attest::SessionOutcome expected) {
   if (result.outcome == expected) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "round resolved as " << attest::session_outcome_name(result.outcome)
-         << ", expected " << attest::session_outcome_name(expected);
+         << "round resolved as " << obs::round_outcome_name(result.outcome)
+         << ", expected " << obs::round_outcome_name(expected);
 }
 
 /// Every admitted round of every device reached a terminal outcome.
