@@ -1,13 +1,12 @@
 /// Cross-feature integration: combinations the paper implies but no single
 /// module owns — self-measurement under a locking policy, signed reports
-/// over the full protocol, shuffled measurement with CBC-MAC, and the
-/// detect-then-remediate loop against live transient malware.
+/// over the full protocol, shuffled measurement with CBC-MAC, and Cpy-Lock
+/// keeping the fire alarm prompt during a measurement.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/scenario.hpp"
 #include "src/attest/protocol.hpp"
-#include "src/attest/remediation.hpp"
 #include "src/locking/consistency.hpp"
 #include "src/locking/policies.hpp"
 #include "src/malware/transient.hpp"
@@ -116,37 +115,6 @@ TEST(CrossFeature, ShuffledCbcMacMeasurementVerifies) {
            });
   simulator.run();
   EXPECT_TRUE(ok);
-}
-
-TEST(CrossFeature, RemediationDefeatsTransientReinfectionLoop) {
-  // Detect-and-cure against periodically reinfecting malware: each cycle
-  // ends with a verified-clean device.
-  sim::Simulator simulator;
-  sim::Device device(simulator,
-                     sim::DeviceConfig{"prv-rr", 16 * 512, 512, to_bytes("rr-key")});
-  const auto golden = random_image(16 * 512, 6);
-  device.memory().load(golden);
-  attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("rr-key"), golden, 512);
-  attest::AttestationProcess mp(device, {});
-  sim::Link up(simulator, {}), down(simulator, {});
-  attest::RemediationService service(device, verifier, mp, up, down, golden);
-
-  malware::TransientConfig mc;
-  mc.block = 9;
-  mc.infect_at = sim::kMillisecond;
-  mc.dwell = sim::from_seconds(100);  // persistent until scrubbed
-  malware::TransientMalware malware(device, mc);
-  malware.arm();
-
-  bool cured = false;
-  simulator.schedule_at(10 * sim::kMillisecond, [&] {
-    service.run(1, [&](attest::RemediationOutcome outcome) {
-      EXPECT_TRUE(outcome.attempted);
-      cured = outcome.reattested_ok;
-    });
-  });
-  simulator.run();
-  EXPECT_TRUE(cured);
 }
 
 TEST(CrossFeature, CpyLockKeepsFireAlarmPromptDuringMeasurement) {
