@@ -190,7 +190,7 @@ class Measurement {
   MacKind mac_;
   BlockDigester digester_;
   DigestCache* cache_ = nullptr;
-  obs::Observer* observer_;
+  obs::Observer* observer_ = nullptr;
   obs::ActorId journal_actor_;  ///< context_.device_id, interned
   std::uint64_t key_fp_ = 0;  ///< computed when a cache is attached
   std::vector<Digest> block_digests_;

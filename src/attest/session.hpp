@@ -33,14 +33,9 @@
 
 namespace rasc::attest {
 
-/// Terminal outcome of one round.  The obs layer defines the taxonomy
-/// (health rollups and the journal cannot depend on attest):
-///   kVerified       report verified: device healthy
-///   kCompromised    authentic report, digest mismatch: device infected
-///   kTimeout        retry budget exhausted in silence: unreachable
-///   kCorruptReport  budget exhausted; answers arrived but were garbled
-///   kReplayRejected budget exhausted; only stale/duplicate reports heard
-/// obs::round_outcome_name gives the stable names.
+/// Terminal outcome of one round.  The taxonomy lives in obs (health
+/// rollups and the journal cannot depend on attest); its stable names
+/// come from obs::round_outcome_name.
 using SessionOutcome = obs::RoundOutcome;
 
 struct SessionConfig {

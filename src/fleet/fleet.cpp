@@ -364,7 +364,9 @@ struct FleetVerifier::Impl {
   bool any_started = false;
 
   Impl(FleetConfig cfg, Roster ros)
-      : config(std::move(cfg)), roster(std::move(ros)) {
+      : config(std::move(cfg)),
+        roster(std::move(ros)),
+        observer(nullptr, config.journal, config.metrics) {
     if (config.devices == 0) throw std::invalid_argument("FleetConfig.devices == 0");
     if (config.epochs == 0) throw std::invalid_argument("FleetConfig.epochs == 0");
     if (config.epoch_period == 0) {
@@ -378,7 +380,6 @@ struct FleetVerifier::Impl {
     wave = std::min(std::max<std::size_t>(config.devices / 64, 1),
                     devices_per_shard);
 
-    observer = obs::Observer(nullptr, config.journal, config.metrics);
     simulator.set_observer(&observer);
 
     shards.reserve(shard_count);

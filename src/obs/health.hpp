@@ -9,9 +9,9 @@
 /// one rollup per subnet and merge them upstream without ever shipping raw
 /// events.
 ///
-/// The obs layer cannot depend on attest, so the outcome taxonomy is
-/// mirrored here; attest::ReliableSession maps its SessionOutcome into
-/// RoundOutcome when recording (see session.cpp).
+/// The obs layer cannot depend on attest, so the outcome taxonomy lives
+/// here; attest::SessionOutcome is an alias of RoundOutcome, and
+/// attest::record_round folds a session's RoundResult into a rollup.
 
 #include <array>
 #include <cstdint>
@@ -21,15 +21,15 @@
 
 namespace rasc::obs {
 
-/// Terminal verdicts of one attestation round, mirrored from
-/// attest::SessionOutcome (values must stay in sync; session.cpp
-/// static_asserts the mapping).
+/// Terminal verdicts of one attestation round (attest::SessionOutcome).
+/// The values are journaled (session.resolved a = outcome), so they are
+/// a wire format: append only.
 enum class RoundOutcome : std::uint8_t {
-  kVerified = 0,
-  kCompromised,
-  kTimeout,
-  kCorruptReport,
-  kReplayRejected,
+  kVerified = 0,    ///< report verified: device healthy
+  kCompromised,     ///< authentic report, digest mismatch: device infected
+  kTimeout,         ///< retry budget exhausted in silence: unreachable
+  kCorruptReport,   ///< budget exhausted; answers arrived but were garbled
+  kReplayRejected,  ///< budget exhausted; only stale/duplicate reports heard
 };
 inline constexpr std::size_t kRoundOutcomeCount = 5;
 

@@ -13,9 +13,8 @@
 ///  - the ring is preallocated; when full the OLDEST events are
 ///    overwritten first (flight-recorder semantics) and dropped() counts;
 ///  - events arrive through obs::Observer::emit (observer.hpp), which
-///    also feeds the trace and metrics channels from the same call; a
-///    detached simulation pays one null branch per site
-///    (`sim.emit(...)`);
+///    feeds the trace and metrics channels from the same call; a detached
+///    simulator pays one null branch per emitting site;
 ///  - NDJSON export is a pure function of the recorded events, so a
 ///    journal captured from a deterministic simulation is byte-identical
 ///    across runs and thread counts like every other artifact.

@@ -50,6 +50,10 @@ class Observer {
                     MetricsRegistry* metrics = nullptr) noexcept
       : trace_(trace), journal_(journal), metrics_(metrics) {}
 
+  /// No channel attached: emitting would record nothing.
+  bool empty() const noexcept {
+    return trace_ == nullptr && journal_ == nullptr && metrics_ == nullptr;
+  }
   TraceSink* trace() const noexcept { return trace_; }
   EventJournal* journal() const noexcept { return journal_; }
   MetricsRegistry* metrics() const noexcept { return metrics_; }

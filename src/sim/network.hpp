@@ -61,9 +61,10 @@ class Link {
   /// with a flipped byte under corruption) unless the message is dropped.
   /// In-flight deliveries hold only a weak reference to the link, so
   /// destroying a Link cancels them instead of dereferencing freed memory.
-  /// Each send is assigned a per-link message id (1, 2, ...) that tags
-  /// every journal event of its fate, so a flight recording names the
-  /// exact message that was dropped/duplicated/corrupted.
+  /// Each send is assigned a per-link message id (1, 2, ...) carried by
+  /// every link.* fact of its fate — each emitted once, through the
+  /// simulator's observer — so a flight recording names the exact message
+  /// that was dropped/duplicated/corrupted.
   void send(support::Bytes payload, Handler on_delivery);
 
   /// Lifetime fates of the messages sent.  Duplicates count once each in

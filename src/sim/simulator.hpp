@@ -66,9 +66,12 @@ class Simulator {
   /// reach it through their Simulator — facts via emit(), span-only traces
   /// (CPU segments, transits, attestation phases) via trace_sink() — so
   /// one call instruments every device, and the simulation is
-  /// bit-identical with or without it.  The dispatcher samples queue
-  /// depth onto the "sim" track every few thousand events.
-  void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
+  /// bit-identical with or without it.  An observer with no channel
+  /// counts as detached.  The dispatcher samples queue depth onto the
+  /// "sim" track every few thousand events.
+  void set_observer(obs::Observer* observer) noexcept {
+    observer_ = observer != nullptr && !observer->empty() ? observer : nullptr;
+  }
   obs::Observer* observer() const noexcept { return observer_; }
   obs::TraceSink* trace_sink() const noexcept {
     return observer_ != nullptr ? observer_->trace() : nullptr;
