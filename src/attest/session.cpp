@@ -59,7 +59,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // The round already resolved (e.g. a duplicated copy of the winning
     // report, or an answer that outlived its whole round): reject without
     // touching verifier state again.
-    ++late_reports_;
+    ++counters_.late_reports;
     emit(obs::JournalEventKind::kSessionLateReport, round_seq);
     return;
   }
@@ -69,7 +69,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // Garbled in transit (or forged): the attempt's answer is consumed,
     // so retry immediately instead of waiting out the timer.
     ++result.corrupt_reports;
-    ++corrupt_reports_;
+    ++counters_.corrupt_reports;
     emit(obs::JournalEventKind::kSessionCorruptReport, round_seq, result.attempts);
     state_->saw_corrupt = true;
     if (!state_->waiting_response) return;  // already backing off
@@ -86,7 +86,7 @@ void ReliableSession::on_attempt_report(std::uint64_t round_seq,
     // Authentic but stale: an answer to a superseded challenge or an
     // old counter.  Keep waiting — the genuine response may still come.
     ++result.replays_rejected;
-    ++replays_rejected_;
+    ++counters_.replays_rejected;
     emit(obs::JournalEventKind::kSessionReplayRejected, round_seq, result.attempts);
     state_->saw_replay = true;
     return;
@@ -139,7 +139,7 @@ void ReliableSession::schedule_retry() {
     backoff = static_cast<sim::Duration>(raw);
   }
   result.backoff_total += backoff;
-  ++retries_;
+  ++counters_.retries;
   emit(obs::JournalEventKind::kSessionBackoff, state_->round_seq, result.attempts,
        backoff);
   const std::uint64_t seq = state_->round_seq;
@@ -157,11 +157,7 @@ ReliableSession::State ReliableSession::save_state() const {
   s.rng = rng_.state();
   s.next_counter = next_counter_;
   s.next_round_seq = next_round_seq_;
-  s.rounds_resolved = rounds_resolved_;
-  s.retries = retries_;
-  s.replays_rejected = replays_rejected_;
-  s.corrupt_reports = corrupt_reports_;
-  s.late_reports = late_reports_;
+  s.counters = counters_;
   s.protocol = protocol_.save_state();
   return s;
 }
@@ -173,11 +169,7 @@ void ReliableSession::restore_state(const State& s) {
   rng_.set_state(s.rng);
   next_counter_ = s.next_counter;
   next_round_seq_ = s.next_round_seq;
-  rounds_resolved_ = s.rounds_resolved;
-  retries_ = s.retries;
-  replays_rejected_ = s.replays_rejected;
-  corrupt_reports_ = s.corrupt_reports;
-  late_reports_ = s.late_reports;
+  counters_ = s.counters;
   protocol_.restore_state(s.protocol);
 }
 
@@ -200,7 +192,7 @@ void ReliableSession::resolve(SessionOutcome outcome) {
   result.wasted_measure_time =
       result.measure_time > useful ? result.measure_time - useful : 0;
 
-  ++rounds_resolved_;
+  ++counters_.rounds_resolved;
   emit(obs::JournalEventKind::kSessionResolved, state.round_seq,
        static_cast<std::uint64_t>(outcome), result.wasted_measure_time,
        {result.attempts, result.t_resolved - result.t_started});

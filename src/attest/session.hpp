@@ -102,6 +102,23 @@ class ReliableSession {
     return state_ == nullptr && protocol_.pending_events() == 0;
   }
 
+  /// Lifetime counters across rounds.  Each event behind them is also one
+  /// session.* fact emitted through the simulator's observer.
+  struct Counters {
+    std::size_t rounds_resolved = 0;
+    std::size_t retries = 0;
+    std::size_t replays_rejected = 0;
+    std::size_t corrupt_reports = 0;
+    /// Reports that arrived after their round resolved (e.g. a duplicated
+    /// copy of the winning report) — rejected without re-judging.
+    std::size_t late_reports = 0;
+  };
+  std::size_t rounds_resolved() const noexcept { return counters_.rounds_resolved; }
+  std::size_t retries() const noexcept { return counters_.retries; }
+  std::size_t replays_rejected() const noexcept { return counters_.replays_rejected; }
+  std::size_t corrupt_reports() const noexcept { return counters_.corrupt_reports; }
+  std::size_t late_reports() const noexcept { return counters_.late_reports; }
+
   /// Session-and-protocol state that must survive hibernation: the jitter
   /// RNG position, the monotonic counter/round sequences, the lifetime
   /// counters, and the prover's replay-protection watermark.  Capture only
@@ -111,26 +128,12 @@ class ReliableSession {
     support::Xoshiro256::State rng{};
     std::uint64_t next_counter = 1;
     std::uint64_t next_round_seq = 1;
-    std::size_t rounds_resolved = 0;
-    std::size_t retries = 0;
-    std::size_t replays_rejected = 0;
-    std::size_t corrupt_reports = 0;
-    std::size_t late_reports = 0;
+    Counters counters;
     OnDemandProtocol::State protocol;
   };
 
   State save_state() const;
   void restore_state(const State& s);
-
-  /// Lifetime counters across rounds.  Each event behind them is also one
-  /// session.* fact emitted through the simulator's observer.
-  std::size_t rounds_resolved() const noexcept { return rounds_resolved_; }
-  std::size_t retries() const noexcept { return retries_; }
-  std::size_t replays_rejected() const noexcept { return replays_rejected_; }
-  std::size_t corrupt_reports() const noexcept { return corrupt_reports_; }
-  /// Reports that arrived after their round resolved (e.g. a duplicated
-  /// copy of the winning report) — rejected without re-judging.
-  std::size_t late_reports() const noexcept { return late_reports_; }
 
  private:
   struct RoundState {
@@ -165,12 +168,7 @@ class ReliableSession {
   std::uint64_t next_counter_ = 1;
   std::uint64_t next_round_seq_ = 1;
   std::unique_ptr<RoundState> state_;  ///< null when idle
-
-  std::size_t rounds_resolved_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t replays_rejected_ = 0;
-  std::size_t corrupt_reports_ = 0;
-  std::size_t late_reports_ = 0;
+  Counters counters_;
 };
 
 /// Fold one resolved round into a health rollup: outcome, retry depth,
