@@ -10,7 +10,8 @@
 ///
 /// The sink is deliberately clock-agnostic (timestamps are plain ns
 /// values supplied by the caller) so the library sits below `src/sim`;
-/// the simulator owns the wiring via `Simulator::set_trace_sink`.
+/// the simulator owns the wiring through its obs::Observer
+/// (`Simulator::set_observer`).
 
 #include <cstdint>
 #include <deque>

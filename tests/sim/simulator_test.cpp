@@ -117,6 +117,26 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), 40u);
 }
 
+TEST(Simulator, EmitsAtNowOnlyThroughAnObserverWithAChannel) {
+  Simulator sim;
+  obs::Observer empty;
+  sim.set_observer(&empty);
+  EXPECT_EQ(sim.observer(), nullptr);  // nothing to record: stays detached
+  EXPECT_EQ(sim.trace_sink(), nullptr);
+
+  obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
+  sim.set_observer(&observer);
+  EXPECT_EQ(sim.trace_sink(), nullptr);
+  sim.schedule_at(40, [&] {
+    sim.emit(obs::JournalEventKind::kFleetWake, {"prv-3"}, {}, 0, 1, 2);
+  });
+  sim.run();
+  ASSERT_EQ(journal.size(), 1u);
+  EXPECT_EQ(journal.at(0).time, 40u);
+  EXPECT_EQ(journal.actor_name(journal.at(0).actor), "prv-3");
+}
+
 TEST(FormatDuration, HumanReadable) {
   EXPECT_EQ(format_duration(1500 * kMillisecond), "1.500 s");
   EXPECT_EQ(format_duration(3200 * kMicrosecond), "3.200 ms");
