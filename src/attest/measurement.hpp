@@ -26,8 +26,8 @@
 #include "src/attest/digest_cache.hpp"
 #include "src/attest/mac_engine.hpp"
 #include "src/crypto/hash.hpp"
-#include "src/obs/observer.hpp"
 #include "src/crypto/hmac.hpp"
+#include "src/obs/observer.hpp"
 #include "src/sim/memory.hpp"
 #include "src/support/bytes.hpp"
 

@@ -204,8 +204,8 @@ struct FleetResult {
 
   /// Per-shard folds (attest::record_round in the round callback) and their
   /// shard-order merge.  The invariant checker verifies the integer
-  /// aggregates of `health` equal the merge of epoch_stats[*].health — the same rounds
-  /// grouped two independent ways.
+  /// aggregates of `health` equal the merge of epoch_stats[*].health —
+  /// the same rounds grouped two independent ways.
   std::vector<obs::HealthRollup> shard_health;
   obs::HealthRollup health;
 
