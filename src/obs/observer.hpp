@@ -54,9 +54,8 @@ class Observer {
   bool empty() const noexcept {
     return trace_ == nullptr && journal_ == nullptr && metrics_ == nullptr;
   }
+  /// For span-only traces (Simulator::trace_sink).
   TraceSink* trace() const noexcept { return trace_; }
-  EventJournal* journal() const noexcept { return journal_; }
-  MetricsRegistry* metrics() const noexcept { return metrics_; }
 
   /// Record one fact at simulated time `t` in every channel its kind's
   /// row names.  (a, b) are documented per kind on JournalEventKind.
