@@ -8,9 +8,11 @@
 ///   campaign_runner --campaign sec25_fire_alarm --grid "memory_mb=1024"
 ///   campaign_runner --list
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "src/apps/campaign.hpp"
@@ -37,6 +39,51 @@ struct Options {
   bool list = false;
 };
 
+/// Re-run one trial of a cell with the flight recorder attached.
+using ReplayFn = void (*)(const exp::GridPoint& point, std::uint64_t trial_seed,
+                          obs::EventJournal& journal);
+
+void replay_network(const exp::GridPoint& point, std::uint64_t trial_seed,
+                    obs::EventJournal& journal) {
+  apps::NetworkScenarioConfig config = apps::network_scenario_config(point, trial_seed);
+  config.journal = &journal;
+  (void)apps::run_network_scenario(config);
+}
+
+void replay_fleet(const exp::GridPoint& point, std::uint64_t trial_seed,
+                  obs::EventJournal& journal) {
+  fleet::FleetConfig config = fleet::fleet_config_for(point, trial_seed);
+  config.journal = &journal;
+  config.enforce_invariants = false;
+  fleet::FleetVerifier verifier(config);
+  (void)verifier.run();
+}
+
+struct Campaign {
+  const char* name;
+  exp::CampaignSpec (*make)();
+  const char* description;
+  ReplayFn replay = nullptr;  ///< --journal-out support
+};
+
+const Campaign kCampaigns[] = {
+    {"smarm_escape", smarm::make_escape_campaign,
+     "abstract SMARM game, rounds x blocks sweep"},
+    {"smarm_escape_fullstack", smarm::make_fullstack_escape_campaign,
+     "device sim + verifier, blocks sweep"},
+    {"sec25_fire_alarm", apps::make_fire_alarm_campaign,
+     "fire-alarm deadline misses, mode x memory sweep"},
+    {"lock_matrix", apps::make_lock_matrix_campaign,
+     "Table 1 mechanisms x adversaries detection rates"},
+    {"measurement_cache", apps::make_measurement_cache_campaign,
+     "digest-cache identity + hit rate, dirty-% sweep"},
+    {"mtree", apps::make_mtree_campaign, "Merkle-tree prover, dirty-% x infected sweep"},
+    {"network_reliability", apps::make_network_reliability_campaign,
+     "lossy-link RA sessions, drop x retries x timeout", replay_network},
+    {"fleet_scale", fleet::make_fleet_scale_campaign,
+     "fleet verifier, devices x drop x stagger sweep", replay_fleet},
+};
+
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--campaign NAME] [--grid \"axis=v1,v2;...\"] [--trials N]\n"
@@ -46,76 +93,26 @@ void usage(const char* argv0) {
       "attached, write JOURNAL_<name>_<grid_index>.ndjson and print a\n"
       "timeline.  The replay is seeded from the campaign coordinates, so the\n"
       "artifacts are byte-identical for any --threads.\n\n"
-      "campaigns:\n"
-      "  smarm_escape            abstract SMARM game, rounds x blocks sweep\n"
-      "  smarm_escape_fullstack  device sim + verifier, blocks sweep\n"
-      "  sec25_fire_alarm        fire-alarm deadline misses, mode x memory sweep\n"
-      "  lock_matrix             Table 1 mechanisms x adversaries detection rates\n"
-      "  measurement_cache       digest-cache identity + hit rate, dirty-%% sweep\n"
-      "  mtree                   Merkle-tree prover, dirty-%% x infected sweep\n"
-      "  network_reliability     lossy-link RA sessions, drop x retries x timeout\n"
-      "  fleet_scale             fleet verifier, devices x drop x stagger sweep\n",
+      "campaigns:\n",
       argv0);
+  for (const Campaign& campaign : kCampaigns) {
+    std::printf("  %-22s  %s\n", campaign.name, campaign.description);
+  }
 }
 
-exp::CampaignSpec build_spec(const Options& options) {
-  if (options.campaign == "smarm_escape") {
-    smarm::EscapeCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return smarm::make_escape_campaign(o);
+const Campaign& find_campaign(const std::string& name) {
+  for (const Campaign& campaign : kCampaigns) {
+    if (name == campaign.name) return campaign;
   }
-  if (options.campaign == "smarm_escape_fullstack") {
-    smarm::EscapeCampaignOptions o;
-    o.trials = options.trials != 0 ? options.trials : 200;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return smarm::make_fullstack_escape_campaign(o);
-  }
-  if (options.campaign == "sec25_fire_alarm") {
-    apps::FireAlarmCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return apps::make_fire_alarm_campaign(o);
-  }
-  if (options.campaign == "lock_matrix") {
-    apps::LockMatrixCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return apps::make_lock_matrix_campaign(o);
-  }
-  if (options.campaign == "measurement_cache") {
-    apps::MeasurementCacheCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return apps::make_measurement_cache_campaign(o);
-  }
-  if (options.campaign == "mtree") {
-    apps::MtreeCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return apps::make_mtree_campaign(o);
-  }
-  if (options.campaign == "network_reliability") {
-    apps::NetworkReliabilityCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return apps::make_network_reliability_campaign(o);
-  }
-  if (options.campaign == "fleet_scale") {
-    fleet::FleetScaleCampaignOptions o;
-    if (options.trials != 0) o.trials = options.trials;
-    o.seed = options.seed;
-    o.threads = options.threads;
-    return fleet::make_fleet_scale_campaign(o);
-  }
-  throw std::invalid_argument("unknown campaign '" + options.campaign + "'");
+  throw std::invalid_argument("unknown campaign '" + name + "'");
+}
+
+exp::CampaignSpec build_spec(const Campaign& campaign, const Options& options) {
+  exp::CampaignSpec spec = campaign.make();
+  if (options.trials != 0) spec.trials_per_point = options.trials;
+  spec.base_seed = options.seed;
+  spec.threads = options.threads;
+  return spec;
 }
 
 /// For the SMARM sweep, print empirical vs. closed-form escape rates and
@@ -142,74 +139,30 @@ bool check_smarm_cells(const exp::CampaignResult& result) {
   return all_ok;
 }
 
-/// Replay one trial per cell of the network campaign with the flight
-/// recorder attached and dump JOURNAL_network_<grid_index>.ndjson +
-/// explain timelines.  Journals stay off during the campaign itself (the
-/// trials above ran bare); the replay re-derives the trial's seed from its
-/// (base_seed, grid_index, trial_index) coordinates, so the re-run is the
-/// same simulation event-for-event and the artifact does not depend on
-/// the campaign's thread count.
-bool write_network_journals(const exp::CampaignResult& result,
-                            const std::string& dir) {
-  const std::size_t rounds = apps::NetworkReliabilityCampaignOptions{}.rounds;
-  bool ok = true;
-  for (const auto& cell : result.cells) {
-    // Replay the lowest misjudging trial; a cell where every round
-    // verified replays trial 0 (still useful: retries/backoff show up).
-    std::size_t trial = 0;
-    if (const auto it = cell.values.find("first_misjudge_trial");
-        it != cell.values.end() && it->second.min() < apps::kNoMisjudgeTrial) {
-      trial = static_cast<std::size_t>(it->second.min());
-    }
-    const std::uint64_t trial_seed =
-        exp::derive_trial_seed(result.base_seed, cell.grid_index, trial);
-    apps::NetworkScenarioConfig config =
-        apps::network_scenario_config(cell.point, trial_seed, rounds);
-    obs::EventJournal journal;
-    config.journal = &journal;
-    (void)apps::run_network_scenario(config);
-
-    std::string path = dir.empty() ? std::string() : dir + "/";
-    path += "JOURNAL_network_" + std::to_string(cell.grid_index) + ".ndjson";
-    if (!journal.write_ndjson(path)) {
-      std::fprintf(stderr, "campaign_runner: cannot write '%s'\n", path.c_str());
-      ok = false;
-      continue;
-    }
-    std::printf("\n=== journal %s: %s, trial %zu (%zu events) ===\n%s",
-                path.c_str(), cell.point.label().c_str(), trial, journal.size(),
-                obs::explain(journal, /*only_problem_rounds=*/true).c_str());
-  }
-  return ok;
-}
-
-/// Fleet counterpart of write_network_journals: per cell, re-run the
-/// lowest misjudging trial's whole fleet with the flight recorder
-/// attached and dump JOURNAL_fleet_<grid_index>.ndjson.  Only the
-/// problem rounds are explained on stdout — a fleet journal holds every
-/// device's events, so the full transcript would drown the interesting
-/// ones.
-bool write_fleet_journals(const exp::CampaignResult& result,
-                          const std::string& dir) {
+/// Per cell, replay the lowest misjudging trial (trial 0 when every round
+/// verified: retries and backoff still show up) with the flight recorder
+/// attached, write JOURNAL_<spec name>_<grid_index>.ndjson and explain its
+/// problem rounds on stdout — a fleet journal holds every device's events,
+/// so the full transcript would drown the interesting ones.  Journals stay
+/// off during the campaign itself; the replay re-derives the trial's seed
+/// from its (base_seed, grid_index, trial_index) coordinates, so it is the
+/// same simulation event-for-event and the artifact does not depend on the
+/// campaign's thread count.
+bool write_journals(const exp::CampaignResult& result, const std::string& dir,
+                    ReplayFn replay) {
   bool ok = true;
   for (const auto& cell : result.cells) {
     std::size_t trial = 0;
     if (const auto it = cell.values.find("first_misjudge_trial");
-        it != cell.values.end() &&
-        it->second.min() < fleet::kNoMisjudgeFleetTrial) {
+        it != cell.values.end() && it->second.min() < exp::kNoMisjudgeTrial) {
       trial = static_cast<std::size_t>(it->second.min());
     }
-    const std::uint64_t trial_seed =
-        exp::derive_trial_seed(result.base_seed, cell.grid_index, trial);
-    fleet::FleetConfig config = fleet::fleet_config_for(cell.point, trial_seed);
     obs::EventJournal journal;
-    config.journal = &journal;
-    config.enforce_invariants = false;
-    fleet::FleetVerifier verifier(config);
-    (void)verifier.run();
+    replay(cell.point, exp::derive_trial_seed(result.base_seed, cell.grid_index, trial),
+           journal);
 
     std::string path = dir.empty() ? std::string() : dir + "/";
-    path += "JOURNAL_fleet_" + std::to_string(cell.grid_index) + ".ndjson";
+    path += "JOURNAL_" + result.name + "_" + std::to_string(cell.grid_index) + ".ndjson";
     if (!journal.write_ndjson(path)) {
       std::fprintf(stderr, "campaign_runner: cannot write '%s'\n", path.c_str());
       ok = false;
@@ -235,16 +188,31 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Plain decimal only: a sign, trailing characters or overflow would
+    // otherwise run the campaign with a default or wrapped value.
+    const auto number = [&]() -> std::uint64_t {
+      const char* text = next();
+      const char* end = text + std::strlen(text);
+      std::uint64_t value = 0;
+      const auto [stop, error] = std::from_chars(text, end, value);
+      if (error != std::errc() || stop != end) {
+        std::fprintf(stderr, "%s needs a plain decimal number, got '%s'\n",
+                     arg.c_str(), text);
+        usage(argv[0]);
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--campaign") {
       options.campaign = next();
     } else if (arg == "--grid") {
       options.grid_override = next();
     } else if (arg == "--trials") {
-      options.trials = std::strtoull(next(), nullptr, 10);
+      options.trials = number();
     } else if (arg == "--threads") {
-      options.threads = std::strtoull(next(), nullptr, 10);
+      options.threads = number();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = number();
     } else if (arg == "--out") {
       options.out_dir = next();
     } else if (arg == "--journal-out") {
@@ -266,7 +234,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    exp::CampaignSpec spec = build_spec(options);
+    const Campaign& campaign = find_campaign(options.campaign);
+    exp::CampaignSpec spec = build_spec(campaign, options);
     for (auto& axis : exp::parse_grid_spec(options.grid_override)) {
       spec.grid.set_axis(axis.name, std::move(axis.values));
     }
@@ -279,73 +248,20 @@ int main(int argc, char** argv) {
     std::printf("ran on %zu thread(s) in %.3f s\n", result.threads_used,
                 result.wall_seconds);
 
+    // Every other campaign checks its invariants per trial with require(),
+    // which would already have failed run_campaign.
     bool ok = true;
     if (spec.name == "smarm_escape") ok = check_smarm_cells(result);
-    if (spec.name == "fleet") {
-      // The per-trial require() already threw on a violated fleet
-      // invariant; assert the aggregate too so the check shows up in the
-      // output even when every trial passed.
-      for (const auto& cell : result.cells) {
-        const auto it = cell.values.find("resolved");
-        if (it == cell.values.end() || it->second.mean() != 1.0) {
-          std::fprintf(stderr, "FAIL: %s: some fleet rounds never resolved\n",
-                       cell.point.label().c_str());
-          ok = false;
-        }
-      }
-    }
-    if (spec.name == "network") {
-      // Every round in every trial must have reached a terminal outcome
-      // (the per-trial require() would already have thrown on a leak, but
-      // assert the aggregate too so the invariant shows in the output).
-      for (const auto& cell : result.cells) {
-        const auto it = cell.values.find("resolved");
-        if (it == cell.values.end() || it->second.mean() != 1.0) {
-          std::fprintf(stderr, "FAIL: %s: some rounds never resolved\n",
-                       cell.point.label().c_str());
-          ok = false;
-        }
-      }
-    }
-    if (spec.name == "measurement_cache") {
-      // Cached and uncached measurements must be byte-identical in every
-      // single trial — anything less is a correctness bug, not noise.
-      for (const auto& cell : result.cells) {
-        if (cell.successes != cell.attempts) {
-          std::fprintf(stderr, "FAIL: %s: cached/uncached divergence in %llu/%llu trials\n",
-                       cell.point.label().c_str(),
-                       static_cast<unsigned long long>(cell.attempts - cell.successes),
-                       static_cast<unsigned long long>(cell.attempts));
-          ok = false;
-        }
-      }
-    }
-
-    if (spec.name == "mtree") {
-      // Verdict correctness is per-trial exact: healthy cells must verify
-      // and infected cells must localize exactly the infected range.
-      for (const auto& cell : result.cells) {
-        if (cell.successes != cell.attempts) {
-          std::fprintf(stderr, "FAIL: %s: wrong verdict/localization in %llu/%llu trials\n",
-                       cell.point.label().c_str(),
-                       static_cast<unsigned long long>(cell.attempts - cell.successes),
-                       static_cast<unsigned long long>(cell.attempts));
-          ok = false;
-        }
-      }
-    }
 
     if (!options.journal_dir.empty()) {
       const std::string dir =
           options.journal_dir == "." ? std::string() : options.journal_dir;
-      if (spec.name == "network") {
-        if (!write_network_journals(result, dir)) return 2;
-      } else if (spec.name == "fleet") {
-        if (!write_fleet_journals(result, dir)) return 2;
-      } else {
+      if (campaign.replay == nullptr) {
         std::fprintf(stderr,
                      "campaign_runner: --journal-out only applies to "
                      "network_reliability and fleet_scale; ignoring\n");
+      } else if (!write_journals(result, dir, campaign.replay)) {
+        return 2;
       }
     }
 

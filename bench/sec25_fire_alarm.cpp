@@ -33,9 +33,8 @@ int main() {
   std::printf("=== Section 2.5: fire alarm vs. attestation (campaign) ===\n");
   std::printf("Sensor period 1 s; fire at a uniform offset inside the MP window.\n\n");
 
-  apps::FireAlarmCampaignOptions options;
-  options.trials = 40;
-  exp::CampaignSpec spec = apps::make_fire_alarm_campaign(options);
+  exp::CampaignSpec spec = apps::make_fire_alarm_campaign();
+  spec.trials_per_point = 40;
   std::printf("--- campaign: %zu cells x %zu trials ---\n", spec.grid.size(),
               spec.trials_per_point);
   const exp::CampaignResult result = exp::run_campaign(spec);
@@ -98,16 +97,6 @@ int main() {
                   static_cast<long long>(cell.point.i64("memory_mb")));
     ok &= expect(attested.mean() == 1.0 && attested.min() == 1.0, label2);
   }
-
-  // The digest cache is a host-side optimization: rerunning the campaign
-  // with it disabled must reproduce the aggregate JSON byte-for-byte.
-  std::printf("\n--- digest cache: cached vs. uncached aggregates ---\n");
-  apps::FireAlarmCampaignOptions uncached_options = options;
-  uncached_options.use_digest_cache = false;
-  const exp::CampaignResult uncached =
-      exp::run_campaign(apps::make_fire_alarm_campaign(uncached_options));
-  ok &= expect(exp::campaign_json(result) == exp::campaign_json(uncached),
-               "BENCH json byte-identical with and without the digest cache");
 
   const std::string json_path = exp::write_campaign_json(result);
   if (!json_path.empty()) std::printf("\nmachine-readable results: %s\n", json_path.c_str());

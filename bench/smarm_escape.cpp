@@ -42,9 +42,8 @@ int main() {
   std::printf("%s\n", single.render().c_str());
 
   // Abstract-game campaign: rounds x blocks sweep, 50k trials per cell.
-  smarm::EscapeCampaignOptions options;
-  options.trials = 50000;
-  exp::CampaignSpec spec = smarm::make_escape_campaign(options);
+  exp::CampaignSpec spec = smarm::make_escape_campaign();
+  spec.trials_per_point = 50000;
   std::printf("--- campaign: %zu cells x %zu trials ---\n", spec.grid.size(),
               spec.trials_per_point);
   const exp::CampaignResult result = exp::run_campaign(spec);
@@ -82,10 +81,9 @@ int main() {
   // Full-stack spot check through the same campaign engine: real
   // permutation, real relocation writes, real verifier.
   std::printf("\n--- full-stack campaign (device sim + verifier) ---\n");
-  smarm::EscapeCampaignOptions fs_options;
-  fs_options.trials = 300;
-  const exp::CampaignResult fullstack =
-      exp::run_campaign(smarm::make_fullstack_escape_campaign(fs_options));
+  exp::CampaignSpec fs_spec = smarm::make_fullstack_escape_campaign();
+  fs_spec.trials_per_point = 300;
+  const exp::CampaignResult fullstack = exp::run_campaign(fs_spec);
   std::printf("%s", exp::campaign_table(fullstack).render().c_str());
   for (const auto& cell : fullstack.cells) {
     const auto blocks = static_cast<std::size_t>(cell.point.i64("blocks"));
@@ -97,16 +95,6 @@ int main() {
                   blocks, cell.success_rate, analytic);
     ok &= expect(wide.contains(analytic), label);
   }
-
-  // The prover's digest cache is a host-side optimization: the full-stack
-  // campaign rerun with it disabled must aggregate byte-identically.
-  std::printf("\n--- digest cache: cached vs. uncached full-stack aggregates ---\n");
-  smarm::EscapeCampaignOptions fs_uncached = fs_options;
-  fs_uncached.use_digest_cache = false;
-  const exp::CampaignResult fullstack_uncached =
-      exp::run_campaign(smarm::make_fullstack_escape_campaign(fs_uncached));
-  ok &= expect(exp::campaign_json(fullstack) == exp::campaign_json(fullstack_uncached),
-               "full-stack BENCH json byte-identical with and without the cache");
 
   // Escape-decay plot from the analytic curve (unchanged from the paper).
   support::Series analytic_series{"analytic", {}, {}};

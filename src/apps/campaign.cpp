@@ -37,14 +37,12 @@ AdversaryKind parse_adversary(const std::string& name) {
 
 }  // namespace
 
-exp::CampaignSpec make_fire_alarm_campaign(const FireAlarmCampaignOptions& options) {
+exp::CampaignSpec make_fire_alarm_campaign() {
   exp::CampaignSpec spec;
   spec.name = "sec25_fire_alarm";
   spec.grid.axis("mode", {std::string("atomic"), std::string("interruptible")});
   spec.grid.axis("memory_mb", {std::int64_t{100}, std::int64_t{512}, std::int64_t{1024}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 100;
   // A trial simulates a full measurement with real hashing: chunky work
   // units, so shard small for load balance.
   spec.shard_size = 4;
@@ -61,9 +59,7 @@ exp::CampaignSpec make_fire_alarm_campaign(const FireAlarmCampaignOptions& optio
       provision_image(kRealBlocks * kFireAlarmBlockSize, kProvisionSeed),
       kFireAlarmBlockSize, crypto::HashKind::kSha256,
       support::to_bytes("fire-alarm-key"));
-  const bool use_digest_cache = options.use_digest_cache;
-  spec.trial = [golden, use_digest_cache](const exp::GridPoint& point,
-                                          exp::TrialContext& ctx) {
+  spec.trial = [golden](const exp::GridPoint& point, exp::TrialContext& ctx) {
     FireAlarmScenarioConfig config;
     config.mode = parse_mode(point.str("mode"));
     config.modeled_memory_bytes = static_cast<std::uint64_t>(point.i64("memory_mb")) << 20;
@@ -71,7 +67,6 @@ exp::CampaignSpec make_fire_alarm_campaign(const FireAlarmCampaignOptions& optio
     config.seed = ctx.seed;
     config.provision_seed = kProvisionSeed;
     config.golden = golden;
-    config.use_digest_cache = use_digest_cache;
     // The interesting regime is a fire during the measurement: place it
     // uniformly inside the (memory-size-dependent) measurement window,
     // approximated by the paper's ~7 s/GB calibration.
@@ -95,7 +90,7 @@ exp::CampaignSpec make_fire_alarm_campaign(const FireAlarmCampaignOptions& optio
   return spec;
 }
 
-exp::CampaignSpec make_lock_matrix_campaign(const LockMatrixCampaignOptions& options) {
+exp::CampaignSpec make_lock_matrix_campaign() {
   exp::CampaignSpec spec;
   spec.name = "lock_matrix";
   std::vector<exp::ParamValue> mechanisms;
@@ -105,9 +100,7 @@ exp::CampaignSpec make_lock_matrix_campaign(const LockMatrixCampaignOptions& opt
   spec.grid.axis("lock", std::move(mechanisms));
   spec.grid.axis("adversary",
                  {std::string("transient"), std::string("chase"), std::string("roving")});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 50;
   spec.shard_size = 4;
   spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
     LockScenarioConfig config;
@@ -129,15 +122,12 @@ exp::CampaignSpec make_lock_matrix_campaign(const LockMatrixCampaignOptions& opt
   return spec;
 }
 
-exp::CampaignSpec make_measurement_cache_campaign(
-    const MeasurementCacheCampaignOptions& options) {
+exp::CampaignSpec make_measurement_cache_campaign() {
   exp::CampaignSpec spec;
   spec.name = "measurement_cache";
   spec.grid.axis("dirty_pct", {std::int64_t{0}, std::int64_t{5}, std::int64_t{10},
                                std::int64_t{25}, std::int64_t{50}, std::int64_t{100}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 40;
   spec.shard_size = 8;
   spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
     constexpr std::size_t kBlocks = 64;
@@ -187,6 +177,7 @@ exp::CampaignSpec make_measurement_cache_campaign(
     }
 
     // The whole point: cache hits change nothing observable.
+    out.require(cached == uncached, "cached and uncached measurements differ");
     out.bernoulli(cached == uncached);
     out.value("cache_hits", static_cast<double>(round_hits));
     out.value("expected_clean", static_cast<double>(kBlocks - dirty));
@@ -196,14 +187,12 @@ exp::CampaignSpec make_measurement_cache_campaign(
   return spec;
 }
 
-exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options) {
+exp::CampaignSpec make_mtree_campaign() {
   exp::CampaignSpec spec;
   spec.name = "mtree";
   spec.grid.axis("dirty_pct", {std::int64_t{0}, std::int64_t{1}, std::int64_t{10}});
   spec.grid.axis("infected", {std::int64_t{0}, std::int64_t{1}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 40;
   spec.shard_size = 8;
   spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
     constexpr std::size_t kBlocks = 64;
@@ -273,6 +262,7 @@ exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options) {
         verdict.localized.front().count == kInfectedCount;
     const bool correct =
         infected ? (!verdict.ok() && exact_localization) : verdict.ok();
+    out.require(correct, "tree-mode verdict or localization is wrong");
     out.bernoulli(correct);
     out.value("verified", verdict.ok() ? 1.0 : 0.0);
     out.value("localized_ranges", static_cast<double>(verdict.localized.size()));
@@ -288,10 +278,9 @@ exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options) {
 }
 
 NetworkScenarioConfig network_scenario_config(const exp::GridPoint& point,
-                                              std::uint64_t trial_seed,
-                                              std::size_t rounds) {
+                                              std::uint64_t trial_seed) {
   NetworkScenarioConfig config;
-  config.rounds = rounds;
+  config.rounds = 4;  // sequential attestation rounds per trial
   config.drop_probability = static_cast<double>(point.i64("drop_pct")) / 100.0;
   // Mild background faults so the duplicate/replay/corrupt machinery is
   // exercised in every cell, not just the ones the axes sweep.
@@ -307,20 +296,16 @@ NetworkScenarioConfig network_scenario_config(const exp::GridPoint& point,
   return config;
 }
 
-exp::CampaignSpec make_network_reliability_campaign(
-    const NetworkReliabilityCampaignOptions& options) {
+exp::CampaignSpec make_network_reliability_campaign() {
   exp::CampaignSpec spec;
   spec.name = "network";
   spec.grid.axis("drop_pct", {std::int64_t{0}, std::int64_t{10}, std::int64_t{30}});
   spec.grid.axis("max_attempts", {std::int64_t{1}, std::int64_t{3}, std::int64_t{6}});
   spec.grid.axis("timeout_ms", {std::int64_t{60}, std::int64_t{250}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 100;
   spec.shard_size = 8;
-  const std::size_t rounds = options.rounds;
-  spec.trial = [rounds](const exp::GridPoint& point, exp::TrialContext& ctx) {
-    NetworkScenarioConfig config = network_scenario_config(point, ctx.seed, rounds);
+  spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
+    NetworkScenarioConfig config = network_scenario_config(point, ctx.seed);
     exp::TrialOutput out;
     config.metrics = &out.metrics;
     config.health = &out.health;
@@ -351,7 +336,7 @@ exp::CampaignSpec make_network_reliability_campaign(
     // the pick is identical for every thread count).
     const bool misjudged = outcome.rounds_resolved != outcome.verified;
     out.value("first_misjudge_trial",
-              misjudged ? static_cast<double>(ctx.trial_index) : kNoMisjudgeTrial);
+              misjudged ? static_cast<double>(ctx.trial_index) : exp::kNoMisjudgeTrial);
     out.value("link_drop_rate",
               outcome.link_sent == 0
                   ? 0.0

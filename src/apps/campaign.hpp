@@ -18,45 +18,20 @@
 
 namespace rasc::apps {
 
-struct FireAlarmCampaignOptions {
-  std::size_t trials = 100;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// Prover-side digest cache (host wall-clock optimization).  Exposed so
-  /// benches can assert cached == uncached aggregates byte-for-byte.
-  bool use_digest_cache = true;
-};
+/// Spec name "sec25_fire_alarm"; 100 trials per cell.
+exp::CampaignSpec make_fire_alarm_campaign();
 
-exp::CampaignSpec make_fire_alarm_campaign(const FireAlarmCampaignOptions& options = {});
-
-struct LockMatrixCampaignOptions {
-  std::size_t trials = 50;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
-};
-
-exp::CampaignSpec make_lock_matrix_campaign(const LockMatrixCampaignOptions& options = {});
-
-struct MeasurementCacheCampaignOptions {
-  std::size_t trials = 40;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
-};
+/// Spec name "lock_matrix"; 50 trials per cell.
+exp::CampaignSpec make_lock_matrix_campaign();
 
 /// Dirty-fraction sweep for the generation-keyed digest cache: each trial
 /// measures a device, dirties `dirty_pct`% of its blocks, then re-measures
 /// with and without the cache.  Bernoulli channel = "cached and uncached
-/// measurements are byte-identical" (must be 1.0); scalar channels count
-/// cache hits against the expected clean-block count.  All values are
-/// deterministic — host wall-clock never enters the aggregates.
-exp::CampaignSpec make_measurement_cache_campaign(
-    const MeasurementCacheCampaignOptions& options = {});
-
-struct MtreeCampaignOptions {
-  std::size_t trials = 40;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
-};
+/// measurements are byte-identical", which every trial also requires;
+/// scalar channels count cache hits against the expected clean-block
+/// count.  All values are deterministic — host wall-clock never enters the
+/// aggregates.  40 trials per cell.
+exp::CampaignSpec make_measurement_cache_campaign();
 
 /// Tree-mode attestation sweep (spec name "mtree", artifact
 /// BENCH_mtree.json): dirty_pct x infected over a Merkle-tree prover.
@@ -65,32 +40,17 @@ struct MtreeCampaignOptions {
 /// digest is unchanged, so the round must stay Verified.  Infected trials
 /// additionally patch a known contiguous block range; the Bernoulli
 /// channel is "the verifier's localized range is exactly the infected
-/// range" (healthy: "the round verified"), which must hold in every trial.
+/// range" (healthy: "the round verified"), which every trial requires.
 /// All values are deterministic — identical aggregates for any --threads.
-exp::CampaignSpec make_mtree_campaign(const MtreeCampaignOptions& options = {});
+/// 40 trials per cell.
+exp::CampaignSpec make_mtree_campaign();
 
-struct NetworkReliabilityCampaignOptions {
-  std::size_t trials = 100;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
-  /// Sequential attestation rounds per trial.
-  std::size_t rounds = 4;
-};
-
-/// Sentinel recorded in the "first_misjudge_trial" value channel when a
-/// trial misjudged nothing; the per-cell min() is then either the lowest
-/// misjudging trial index or this (thread-count independent either way,
-/// which is what lets campaign_runner --journal-out replay the same trial
-/// regardless of -j).
-inline constexpr double kNoMisjudgeTrial = 1e18;
-
-/// Build the scenario config for one (cell, trial seed) of the network
-/// reliability campaign.  Shared by the campaign trial function and
-/// campaign_runner's --journal-out replay, so a re-run with a journal
-/// attached reproduces the selected trial event-for-event.
+/// Build the scenario config (four sequential rounds) for one (cell, trial
+/// seed) of the network reliability campaign.  Shared by the campaign
+/// trial function and campaign_runner's --journal-out replay, so a re-run
+/// with a journal attached reproduces the selected trial event-for-event.
 NetworkScenarioConfig network_scenario_config(const exp::GridPoint& point,
-                                              std::uint64_t trial_seed,
-                                              std::size_t rounds);
+                                              std::uint64_t trial_seed);
 
 /// Lossy-link reliability sweep (spec name "network", so the artifact is
 /// BENCH_network.json): drop_pct x retry budget x per-attempt timeout,
@@ -100,8 +60,8 @@ NetworkScenarioConfig network_scenario_config(const exp::GridPoint& point,
 /// machinery (attempts per round, backoff, wasted prover CPU time on
 /// measurements whose reports never decided a round).  Every trial
 /// asserts that all rounds reached a terminal outcome — a leaked `done`
-/// callback fails the campaign rather than skewing it.
-exp::CampaignSpec make_network_reliability_campaign(
-    const NetworkReliabilityCampaignOptions& options = {});
+/// callback fails the campaign rather than skewing it.  100 trials per
+/// cell.
+exp::CampaignSpec make_network_reliability_campaign();
 
 }  // namespace rasc::apps

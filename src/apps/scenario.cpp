@@ -58,7 +58,6 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
   prover_config.mode = config.mode;
   prover_config.order = config.order;
   prover_config.priority = 10;
-  prover_config.use_digest_cache = config.use_digest_cache;
   attest::AttestationProcess mp(device, prover_config, policy.get());
 
   // Adversaries.
@@ -284,7 +283,6 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   attest::ProverConfig prover_config;
   prover_config.hash = config.hash;
   prover_config.mode = config.mode;
-  prover_config.use_digest_cache = config.use_digest_cache;
   prover_config.priority = 10;  // below the safety-critical task
   attest::AttestationProcess mp(device, prover_config);
 

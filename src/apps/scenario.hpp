@@ -47,8 +47,6 @@ struct LockScenarioConfig {
   /// how many of its writes the locks rejected (Table 1 availability).
   bool writer_enabled = false;
   std::uint64_t seed = 1;
-  /// Host-side digest cache on the prover (simulated timing unchanged).
-  bool use_digest_cache = true;
 };
 
 struct LockScenarioOutcome {
@@ -93,8 +91,6 @@ struct FireAlarmScenarioConfig {
   /// Pre-digested golden shared across a cell's trials; must match the
   /// provisioned image.  Null = digest a device snapshot per trial.
   std::shared_ptr<const attest::GoldenMeasurement> golden;
-  /// Host-side digest cache on the prover (simulated timing unchanged).
-  bool use_digest_cache = true;
   /// Optional observability (not owned): `trace` captures the full device
   /// timeline (CPU segments, measurement spans, alarm instants); `metrics`
   /// accumulates fire_alarm.* counters and the sample-delay histogram.

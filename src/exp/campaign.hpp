@@ -77,6 +77,15 @@ struct TrialOutput {
 
 using TrialFn = std::function<TrialOutput(const GridPoint&, TrialContext&)>;
 
+/// Sentinel a trial records in its "first_misjudge_trial" value channel
+/// when it misjudged nothing; the per-cell min() is then either the lowest
+/// misjudging trial index or this.  min() folds are exact, so the pick is
+/// thread-count independent, which lets campaign_runner --journal-out
+/// replay the same trial regardless of -j.
+inline constexpr double kNoMisjudgeTrial = 1e18;
+
+/// Scenario modules' make_*_campaign() factories return a complete spec
+/// with their default trial count; callers override fields directly.
 struct CampaignSpec {
   std::string name = "campaign";
   ParamGrid grid;

@@ -38,17 +38,14 @@ FleetConfig fleet_config_for(const exp::GridPoint& point,
   return config;
 }
 
-exp::CampaignSpec make_fleet_scale_campaign(
-    const FleetScaleCampaignOptions& options) {
+exp::CampaignSpec make_fleet_scale_campaign() {
   exp::CampaignSpec spec;
   spec.name = "fleet";
   spec.grid.axis("devices", {std::int64_t{1000}, std::int64_t{10000},
                              std::int64_t{100000}, std::int64_t{1000000}});
   spec.grid.axis("drop_pct", {std::int64_t{0}, std::int64_t{20}});
   spec.grid.axis("stagger", {std::string("burst"), std::string("uniform")});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 1;
   // One trial is already a whole fleet; shard per trial so the pool can
   // spread cells across workers.
   spec.shard_size = 1;
@@ -97,7 +94,7 @@ exp::CampaignSpec make_fleet_scale_campaign(
                         static_cast<double>(result.link_sent));
     out.value("first_misjudge_trial",
               result.misjudged_rounds > 0 ? static_cast<double>(ctx.trial_index)
-                                          : kNoMisjudgeFleetTrial);
+                                          : exp::kNoMisjudgeTrial);
     out.health.merge(result.health);
     return out;
   };

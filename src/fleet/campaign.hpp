@@ -17,22 +17,6 @@
 
 namespace rasc::fleet {
 
-struct FleetScaleCampaignOptions {
-  /// Fleet trials are heavyweight (one trial = devices x epochs rounds),
-  /// so the default is one trial per cell — the fleet seed still varies
-  /// per cell through derive_trial_seed.
-  std::size_t trials = 1;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-};
-
-/// Sentinel recorded in the "first_misjudge_trial" value channel when a
-/// trial misjudged no round; the per-cell min() is then either the lowest
-/// misjudging trial index or this (thread-count independent either way,
-/// which lets campaign_runner --journal-out replay the same trial
-/// regardless of -j).
-inline constexpr double kNoMisjudgeFleetTrial = 1e18;
-
 /// Cells at or above this fleet size run with stack hibernation and the
 /// bounded live pool (FleetConfig::max_live_stacks = kHibernationPool).
 /// The threshold is low enough that CI's reduced fleet-1m cell
@@ -53,8 +37,10 @@ FleetConfig fleet_config_for(const exp::GridPoint& point, std::uint64_t trial_se
 /// the roster's ground truth; scalars track throughput (rounds per
 /// simulated second), verifier memory per device (must shrink as N
 /// grows), time to full fleet coverage, admission high-water and the
-/// wasted prover CPU the reliability layer burned.
-exp::CampaignSpec make_fleet_scale_campaign(
-    const FleetScaleCampaignOptions& options = {});
+/// wasted prover CPU the reliability layer burned.  Fleet trials are
+/// heavyweight (one trial = devices x epochs rounds), so the default is
+/// one trial per cell — the fleet seed still varies per cell through
+/// derive_trial_seed.
+exp::CampaignSpec make_fleet_scale_campaign();
 
 }  // namespace rasc::fleet

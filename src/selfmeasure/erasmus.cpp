@@ -9,7 +9,6 @@ attest::ProverConfig to_prover_config(const ErasmusConfig& config) {
   out.mode = config.mode;
   out.order = config.order;
   out.priority = config.priority;
-  out.use_digest_cache = config.use_digest_cache;
   return out;
 }
 }  // namespace

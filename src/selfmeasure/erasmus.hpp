@@ -26,9 +26,6 @@ struct ErasmusConfig {
   /// Context awareness (paper compromise (2)): defer a due measurement
   /// while the CPU is busy with the application instead of contending.
   bool context_aware = false;
-  /// Host-side digest cache across recurrent rounds: round k+1 only
-  /// rehashes blocks written since round k (simulated timing unchanged).
-  bool use_digest_cache = true;
 };
 
 class ErasmusProver {

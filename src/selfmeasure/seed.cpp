@@ -28,7 +28,6 @@ SeedProver::SeedProver(sim::Device& device, SeedConfig config, sim::Link& to_vrf
             pc.hash = config_.hash;
             pc.mode = config_.mode;
             pc.priority = config_.priority;
-            pc.use_digest_cache = config_.use_digest_cache;
             return pc;
           }()) {}
 

@@ -8,7 +8,7 @@
 
 namespace rasc::smarm {
 
-exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options) {
+exp::CampaignSpec make_escape_campaign() {
   exp::CampaignSpec spec;
   spec.name = "smarm_escape";
   // blocks=8 is where the paper's "13 checks push escape below 1e-6"
@@ -18,9 +18,7 @@ exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options) {
                             std::int64_t{5}, std::int64_t{8}, std::int64_t{13}});
   spec.grid.axis("blocks",
                  {std::int64_t{8}, std::int64_t{16}, std::int64_t{64}, std::int64_t{1024}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 1000;
   spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
     const auto rounds = static_cast<std::size_t>(point.i64("rounds"));
     const auto blocks = static_cast<std::size_t>(point.i64("blocks"));
@@ -31,14 +29,12 @@ exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options) {
   return spec;
 }
 
-exp::CampaignSpec make_fullstack_escape_campaign(const EscapeCampaignOptions& options) {
+exp::CampaignSpec make_fullstack_escape_campaign() {
   exp::CampaignSpec spec;
   spec.name = "smarm_escape_fullstack";
   const std::vector<std::int64_t> block_counts{8, 12, 16};
   spec.grid.axis("blocks", {std::int64_t{8}, std::int64_t{12}, std::int64_t{16}});
-  spec.trials_per_point = options.trials;
-  spec.base_seed = options.seed;
-  spec.threads = options.threads;
+  spec.trials_per_point = 200;
   // Device simulation is ~ms per trial; keep work units small enough that
   // the pool load-balances even for modest trial counts.
   spec.shard_size = 8;
@@ -56,15 +52,12 @@ exp::CampaignSpec make_fullstack_escape_campaign(const EscapeCampaignOptions& op
         image, kBlockSize, crypto::HashKind::kSha256,
         support::to_bytes("smarm-shared-key"));
   }
-  const bool use_digest_cache = options.use_digest_cache;
-  spec.trial = [goldens, use_digest_cache](const exp::GridPoint& point,
-                                           exp::TrialContext& ctx) {
+  spec.trial = [goldens](const exp::GridPoint& point, exp::TrialContext& ctx) {
     RunnerConfig config;
     config.blocks = static_cast<std::size_t>(point.i64("blocks"));
     config.block_size = kBlockSize;
     config.rounds = 1;
     config.seed = ctx.seed;
-    config.use_digest_cache = use_digest_cache;
     config.provision_seed =
         kProvisionSeedBase + static_cast<std::uint64_t>(point.i64("blocks"));
     config.golden = goldens->at(point.i64("blocks"));

@@ -11,26 +11,18 @@
 
 namespace rasc::smarm {
 
-struct EscapeCampaignOptions {
-  std::size_t trials = 1000;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// Full-stack only: prover-side digest cache (host wall-clock
-  /// optimization).  Exposed so benches can assert that cached and
-  /// uncached campaigns produce byte-identical aggregates.
-  bool use_digest_cache = true;
-};
-
 /// Abstract-game campaign: each trial plays play_escape_game() once from
 /// its private RNG stream.  Default grid sweeps rounds x blocks, covering
-/// the paper's two headline points (1 round @ ~0.37, 13 rounds @ <1e-6).
-exp::CampaignSpec make_escape_campaign(const EscapeCampaignOptions& options = {});
+/// the paper's two headline points (1 round @ ~0.37, 13 rounds @ <1e-6);
+/// 1000 trials per cell.
+exp::CampaignSpec make_escape_campaign();
 
 /// Full-stack campaign: each trial runs a fresh simulated device (real
 /// shuffled measurement, real relocation writes, real verifier) for one
 /// round and reports whether the verifier missed the malware.  Slower per
-/// trial, so the default grid is small; per-round duration histograms are
-/// merged across trials into each cell's metrics.
-exp::CampaignSpec make_fullstack_escape_campaign(const EscapeCampaignOptions& options = {});
+/// trial, so the default grid is small and runs 200 trials per cell;
+/// per-round duration histograms are merged across trials into each
+/// cell's metrics.
+exp::CampaignSpec make_fullstack_escape_campaign();
 
 }  // namespace rasc::smarm

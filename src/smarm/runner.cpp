@@ -39,7 +39,6 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
   prover_config.mode = config.mode;
   prover_config.order = config.order;
   prover_config.priority = 10;
-  prover_config.use_digest_cache = config.use_digest_cache;
   attest::AttestationProcess mp(device, prover_config);
 
   malware::RelocatingConfig mal_config;

@@ -37,8 +37,6 @@ struct RunnerConfig {
   /// the provisioned firmware (same provision_seed / size / hash / key);
   /// when null the verifier digests its own golden from a device snapshot.
   std::shared_ptr<const attest::GoldenMeasurement> golden;
-  /// Host-side digest cache for the prover's multi-round measurements.
-  bool use_digest_cache = true;
   /// Optional observability (not owned): `trace` receives the device
   /// timeline plus a "smarm.round" span per permutation round; `metrics`
   /// accumulates "smarm.rounds"/"smarm.detections" counters and a

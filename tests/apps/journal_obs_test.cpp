@@ -177,12 +177,10 @@ TEST(JournalIntegration, FireAlarmJournalRecordsDeadlinesAndAlarm) {
 
 TEST(JournalIntegration, CampaignHealthIsThreadCountIndependent) {
   const auto run = [](std::size_t threads) {
-    NetworkReliabilityCampaignOptions options;
-    options.trials = 8;
-    options.seed = 3;
-    options.threads = threads;
-    options.rounds = 2;
-    exp::CampaignSpec spec = make_network_reliability_campaign(options);
+    exp::CampaignSpec spec = make_network_reliability_campaign();
+    spec.trials_per_point = 8;
+    spec.base_seed = 3;
+    spec.threads = threads;
     // One lossy cell keeps the test fast while exercising retries.
     spec.grid.set_axis("drop_pct", {std::int64_t{30}});
     spec.grid.set_axis("max_attempts", {std::int64_t{3}});
@@ -193,7 +191,7 @@ TEST(JournalIntegration, CampaignHealthIsThreadCountIndependent) {
   const exp::CampaignResult parallel = run(4);
   ASSERT_EQ(serial.cells.size(), 1u);
   // The health rollup is part of the cell and folded across trials.
-  EXPECT_EQ(serial.cells[0].health.rounds(), 8u * 2u);
+  EXPECT_EQ(serial.cells[0].health.rounds(), 8u * 4u);
   EXPECT_FALSE(serial.cells[0].health.empty());
   // The whole artifact — including the embedded health block — is
   // byte-identical for any thread count.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
+#include "src/attest/report.hpp"
 #include "src/attest/verifier.hpp"
+#include "src/malware/relocating.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::attest {
@@ -246,6 +249,74 @@ TEST(Prover, ReportTimesMatchResult) {
   EXPECT_EQ(result.report.t_start, result.t_s);
   EXPECT_EQ(result.report.t_end, result.t_e);
   EXPECT_TRUE(report_mac_valid(result.report, to_bytes("prover-test-key")));
+}
+
+/// Three rounds on a fresh Fixture device.  `roving` adds SMARM's roving
+/// malware wired through set_observer, as run_lock_scenario does; without
+/// it the application rewrites two blocks between rounds.
+std::vector<AttestationResult> three_rounds(const ProverConfig& config, bool roving) {
+  Fixture fx;
+  AttestationProcess mp(fx.device, config);
+  std::optional<malware::SelfRelocatingMalware> reloc;
+  if (roving) {
+    malware::RelocatingConfig mc;
+    mc.initial_block = 8;
+    mc.strategy = malware::RelocationStrategy::kRovingUniform;
+    mc.seed = 0x3100;
+    reloc.emplace(fx.device, mc);
+    reloc->infect_initial();
+    mp.set_observer([&reloc](std::size_t done, std::size_t total) {
+      reloc->on_measurement_progress(done, total);
+    });
+  }
+  std::vector<AttestationResult> results;
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    if (reloc) reloc->on_measurement_start();
+    results.push_back(run_one(fx, mp, round));
+    if (!roving) {
+      for (std::size_t block : {round, 2 * round + 7}) {
+        const support::Bytes patch{static_cast<std::uint8_t>(round)};
+        (void)fx.device.memory().write(block * 256, patch, fx.simulator.now(),
+                                       sim::Actor::kApplication);
+      }
+    }
+  }
+  // The cached device really served blocks from its cache; the other
+  // never consulted one.
+  if (config.use_digest_cache) {
+    EXPECT_GT(mp.digest_cache().hits(), 0u);
+  } else {
+    EXPECT_EQ(mp.digest_cache().hits() + mp.digest_cache().misses(), 0u);
+  }
+  if (reloc) {
+    EXPECT_GT(reloc->relocations(), 0u);
+  }
+  return results;
+}
+
+TEST(Prover, DigestCacheChangesNoReport) {
+  for (const bool roving : {false, true}) {
+    SCOPED_TRACE(roving ? "interruptible+shuffled, roving malware"
+                        : "atomic+sequential, application writes");
+    ProverConfig config;
+    config.mode = roving ? ExecutionMode::kInterruptible : ExecutionMode::kAtomic;
+    config.order = roving ? TraversalOrder::kShuffledSecret : TraversalOrder::kSequential;
+    config.use_digest_cache = true;
+    const auto cached = three_rounds(config, roving);
+    config.use_digest_cache = false;
+    const auto uncached = three_rounds(config, roving);
+    ASSERT_EQ(cached.size(), uncached.size());
+    for (std::size_t r = 0; r < cached.size(); ++r) {
+      SCOPED_TRACE("round " + std::to_string(r + 1));
+      EXPECT_EQ(serialize_report_wire(cached[r].report),
+                serialize_report_wire(uncached[r].report));
+      EXPECT_EQ(cached[r].t_s, uncached[r].t_s);
+      EXPECT_EQ(cached[r].t_e, uncached[r].t_e);
+      EXPECT_EQ(cached[r].t_r, uncached[r].t_r);
+      EXPECT_EQ(cached[r].order, uncached[r].order);
+      EXPECT_EQ(cached[r].visit_times, uncached[r].visit_times);
+    }
+  }
 }
 
 }  // namespace

@@ -22,11 +22,10 @@ namespace rasc::exp {
 namespace {
 
 TEST(Concurrency, ParallelLockScenariosMatchSerialReference) {
-  apps::LockMatrixCampaignOptions options;
-  options.trials = 6;
-  options.seed = 5;
-  auto make = [&](std::size_t threads) {
-    CampaignSpec spec = apps::make_lock_matrix_campaign(options);
+  auto make = [](std::size_t threads) {
+    CampaignSpec spec = apps::make_lock_matrix_campaign();
+    spec.trials_per_point = 6;
+    spec.base_seed = 5;
     // Trim the grid so the test stays fast under TSan.
     spec.grid.set_axis("lock", {std::string("No-Lock"), std::string("Dec-Lock"),
                                 std::string("Cpy-Lock")});
@@ -40,11 +39,10 @@ TEST(Concurrency, ParallelLockScenariosMatchSerialReference) {
 }
 
 TEST(Concurrency, ParallelFullStackSmarmMatchesSerialReference) {
-  smarm::EscapeCampaignOptions options;
-  options.trials = 12;
-  options.seed = 3;
-  auto make = [&](std::size_t threads) {
-    CampaignSpec spec = smarm::make_fullstack_escape_campaign(options);
+  auto make = [](std::size_t threads) {
+    CampaignSpec spec = smarm::make_fullstack_escape_campaign();
+    spec.trials_per_point = 12;
+    spec.base_seed = 3;
     spec.grid.set_axis("blocks", {std::int64_t{8}, std::int64_t{12}});
     spec.threads = threads;
     return spec;
@@ -55,11 +53,10 @@ TEST(Concurrency, ParallelFullStackSmarmMatchesSerialReference) {
 }
 
 TEST(Concurrency, ParallelFireAlarmScenariosMatchSerialReference) {
-  apps::FireAlarmCampaignOptions options;
-  options.trials = 4;
-  options.seed = 7;
-  auto make = [&](std::size_t threads) {
-    CampaignSpec spec = apps::make_fire_alarm_campaign(options);
+  auto make = [](std::size_t threads) {
+    CampaignSpec spec = apps::make_fire_alarm_campaign();
+    spec.trials_per_point = 4;
+    spec.base_seed = 7;
     spec.grid.set_axis("memory_mb", {std::int64_t{100}});
     spec.threads = threads;
     return spec;
