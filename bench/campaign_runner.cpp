@@ -33,7 +33,7 @@ struct Options {
   std::string grid_override;
   std::string out_dir;
   std::string journal_dir;  ///< --journal-out: flight-recorder replays
-  std::size_t trials = 0;  // 0 = campaign default
+  std::size_t trials = 0;  // 0 = not given: campaign default
   std::size_t threads = 0;
   std::uint64_t seed = 1;
   bool list = false;
@@ -209,6 +209,11 @@ int main(int argc, char** argv) {
       options.grid_override = next();
     } else if (arg == "--trials") {
       options.trials = number();
+      if (options.trials == 0) {  // would silently mean the campaign default
+        std::fprintf(stderr, "--trials needs at least 1\n");
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--threads") {
       options.threads = number();
     } else if (arg == "--seed") {

@@ -7,12 +7,12 @@ FireAlarmTask::FireAlarmTask(sim::Device& device, FireAlarmConfig config)
 
 void FireAlarmTask::arm(sim::Time until) {
   auto& sim = device_.sim();
-  for (sim::Time t = sim.now() + config_.period; t <= until; t += config_.period) {
-    sim.schedule_at(t, [this, t] {
-      pending_.push_back(t);
-      device_.cpu().make_ready(*this);
-    });
-  }
+  const sim::Time first = sim.now() + config_.period;  // samples in [first, until]
+  const std::uint64_t samples = until < first ? 0 : (until - first) / config_.period + 1;
+  sim.schedule_every(first, config_.period, samples, [this] {
+    pending_.push_back(device_.sim().now());
+    device_.cpu().make_ready(*this);
+  });
 }
 
 std::optional<sim::Segment> FireAlarmTask::next_segment() {

@@ -10,12 +10,12 @@ WriterTask::WriterTask(sim::Device& device, WriterConfig config)
 
 void WriterTask::arm(sim::Time until) {
   auto& sim = device_.sim();
-  for (sim::Time t = sim.now() + config_.period; t <= until; t += config_.period) {
-    sim.schedule_at(t, [this] {
-      ++pending_;
-      device_.cpu().make_ready(*this);
-    });
-  }
+  const sim::Time first = sim.now() + config_.period;  // ticks in [first, until]
+  const std::uint64_t ticks = until < first ? 0 : (until - first) / config_.period + 1;
+  sim.schedule_every(first, config_.period, ticks, [this] {
+    ++pending_;
+    device_.cpu().make_ready(*this);
+  });
 }
 
 std::optional<sim::Segment> WriterTask::next_segment() {

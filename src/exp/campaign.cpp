@@ -47,6 +47,13 @@ const CellResult* CampaignResult::find_cell(const std::string& label) const {
   return nullptr;
 }
 
+std::size_t campaign_threads(std::size_t requested, std::size_t shards,
+                             std::size_t hardware) noexcept {
+  hardware = std::max<std::size_t>(1, hardware);
+  const std::size_t threads = requested == 0 ? hardware : requested;
+  return std::max<std::size_t>(1, std::min({threads, shards, kThreadsPerCore * hardware}));
+}
+
 CampaignResult run_campaign(const CampaignSpec& spec) {
   if (!spec.trial) throw std::invalid_argument("run_campaign: spec.trial is empty");
   if (spec.trials_per_point == 0) {
@@ -96,9 +103,8 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     }
   };
 
-  std::size_t threads = spec.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, total_shards);
+  const std::size_t threads =
+      campaign_threads(spec.threads, total_shards, std::thread::hardware_concurrency());
 
   const auto t0 = std::chrono::steady_clock::now();
   if (threads <= 1) {

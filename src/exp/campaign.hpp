@@ -128,6 +128,15 @@ struct CampaignResult {
   const CellResult* find_cell(const std::string& label) const;
 };
 
+/// Worker threads a campaign of `shards` work units runs on when
+/// `requested` threads are asked for (0 = `hardware`, the host's core
+/// count): at most one per shard and at most kThreadsPerCore per core, so
+/// an oversized request cannot start thousands of OS threads.  The thread
+/// count never changes an artifact.
+inline constexpr std::size_t kThreadsPerCore = 4;
+std::size_t campaign_threads(std::size_t requested, std::size_t shards,
+                             std::size_t hardware) noexcept;
+
 /// Run the campaign.  Throws std::invalid_argument on a spec without a
 /// trial function or with zero trials; rethrows the first trial exception
 /// (after stopping the pool) otherwise.

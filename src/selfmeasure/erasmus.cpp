@@ -20,9 +20,9 @@ ErasmusProver::ErasmusProver(sim::Device& device, ErasmusConfig config,
 void ErasmusProver::start(sim::Time until) {
   until_ = until;
   auto& sim = device_.sim();
-  for (sim::Time t = sim.now(); t < until; t += config_.period) {
-    sim.schedule_at(t, [this] { tick(); });
-  }
+  const sim::Time first = sim.now();  // ticks in [first, until)
+  const std::uint64_t ticks = until <= first ? 0 : (until - first - 1) / config_.period + 1;
+  sim.schedule_every(first, config_.period, ticks, [this] { tick(); });
 }
 
 void ErasmusProver::tick() {
@@ -79,13 +79,12 @@ Collector::Collector(attest::Verifier& verifier, ErasmusProver& prover, sim::Lin
       period_(period) {}
 
 void Collector::start(sim::Time until) {
-  // First collection one period in, so measurements can accumulate.
-  auto& sim_ref = prover_.simulator();
-  for (sim::Time t = period_; t < until; t += period_) {
-    sim_ref.schedule_at(t, [this] {
-      to_prv_.send({}, [this](support::Bytes) { collect(); });
-    });
-  }
+  // First collection one period in, so measurements can accumulate; the
+  // last one before `until`.
+  const std::uint64_t collections = until <= period_ ? 0 : (until - period_ - 1) / period_ + 1;
+  prover_.simulator().schedule_every(period_, period_, collections, [this] {
+    to_prv_.send({}, [this](support::Bytes) { collect(); });
+  });
 }
 
 void Collector::collect() {

@@ -5,6 +5,7 @@
 /// lives in src/crypto/drbg.hpp; never use this generator for keys.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -26,10 +27,35 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Unbiased integer in [0, bound) via Lemire rejection; bound must be > 0.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    // Lemire's nearly-divisionless method with rejection for exact uniformity.
+    using u128 = unsigned __int128;
+    std::uint64_t x = (*this)();
+    u128 m = static_cast<u128>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<u128>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;

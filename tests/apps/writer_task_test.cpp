@@ -1,0 +1,24 @@
+#include "src/apps/writer_task.hpp"
+
+#include <gtest/gtest.h>
+
+#include "tests/support/fleet_fixtures.hpp"
+
+namespace rasc::apps {
+namespace {
+
+TEST(WriterTask, PeriodicSeriesIsOneQueueEntry) {
+  testfx::DeviceHarness fx;
+  WriterConfig config;
+  config.period = 50 * sim::kMicrosecond;
+  WriterTask writer(fx.device, config);
+  writer.arm(sim::kSecond);
+  // 20 000 ticks in (0, 1 s], queued as one self-re-arming entry.
+  EXPECT_LE(fx.simulator.pending_events(), 2u);
+  fx.simulator.run();
+  EXPECT_EQ(writer.attempts(), 20000u);
+  EXPECT_EQ(fx.simulator.now(), sim::kSecond + config.write_cost);
+}
+
+}  // namespace
+}  // namespace rasc::apps

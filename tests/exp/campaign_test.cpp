@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <thread>
 
 #include "src/exp/report.hpp"
 
@@ -139,6 +142,25 @@ TEST(Campaign, InvalidSpecsThrow) {
   spec.trials_per_point = 1;
   spec.shard_size = 0;
   EXPECT_THROW(run_campaign(spec), std::invalid_argument);
+}
+
+TEST(Campaign, ThreadCountIsCappedByShardsAndCores) {
+  EXPECT_EQ(campaign_threads(0, 100, 4), 4u);       // 0 = one per core
+  EXPECT_EQ(campaign_threads(8, 100, 4), 8u);
+  EXPECT_EQ(campaign_threads(8, 3, 4), 3u);         // no idle workers
+  EXPECT_EQ(campaign_threads(5000, 1512, 4), 4 * kThreadsPerCore);
+  EXPECT_EQ(campaign_threads(SIZE_MAX, 1512, 4), 4 * kThreadsPerCore);
+  EXPECT_EQ(campaign_threads(0, 100, 0), 1u);       // unknown core count
+  EXPECT_EQ(campaign_threads(5000, 100, 0), kThreadsPerCore);
+
+  // Through run_campaign: 40 shards bound the threads actually started.
+  CampaignSpec spec;
+  spec.trial = [](const GridPoint&, TrialContext&) { return TrialOutput{}; };
+  spec.trials_per_point = 40 * spec.shard_size;
+  spec.threads = 1'000'000;
+  const CampaignResult result = run_campaign(spec);
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(result.threads_used, std::min<std::size_t>(40, kThreadsPerCore * cores));
 }
 
 TEST(Campaign, TrialExceptionPropagates) {
