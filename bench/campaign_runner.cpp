@@ -46,7 +46,8 @@ using ReplayFn = void (*)(const exp::GridPoint& point, std::uint64_t trial_seed,
 void replay_network(const exp::GridPoint& point, std::uint64_t trial_seed,
                     obs::EventJournal& journal) {
   apps::NetworkScenarioConfig config = apps::network_scenario_config(point, trial_seed);
-  config.journal = &journal;
+  obs::Observer observer(nullptr, &journal);
+  config.observer = &observer;
   (void)apps::run_network_scenario(config);
 }
 

@@ -16,16 +16,11 @@ namespace {
 
 using namespace rasc;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed = 1) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
+using support::random_bytes;
 
 void BM_Hash(benchmark::State& state) {
   const auto kind = static_cast<crypto::HashKind>(state.range(0));
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(1)));
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(1)), 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::hash_oneshot(kind, data));
   }
@@ -42,7 +37,7 @@ BENCHMARK(BM_Hash)
 template <std::size_t N>
 void lane_rows(benchmark::State& state, crypto::HashKind kind) {
   constexpr std::size_t kMsg = 4096;
-  const auto pool = random_bytes(kMsg * N);
+  const auto pool = random_bytes(kMsg * N, 1);
   support::Bytes sink(64 * N);
   support::ByteView views[N];
   support::MutableByteView outs[N];
@@ -89,8 +84,8 @@ void BM_BlockDigestF(benchmark::State& state) {
   const auto mac = static_cast<attest::MacKind>(state.range(0));
   const auto kind = static_cast<crypto::HashKind>(state.range(1));
   const auto block_size = static_cast<std::size_t>(state.range(2));
-  const auto key = random_bytes(16);
-  const auto block = random_bytes(block_size);
+  const auto key = random_bytes(16, 1);
+  const auto block = random_bytes(block_size, 1);
   attest::BlockDigester digester(mac, kind, key);
   attest::Digest out;
   for (auto _ : state) {
@@ -108,8 +103,8 @@ BENCHMARK(BM_BlockDigestF)
     ->ArgsProduct({{0, 1}, {0, 3}, {64, 4096}});  // F x hash x block size
 
 void BM_HmacSha256(benchmark::State& state) {
-  const auto key = random_bytes(32);
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)));
+  const auto key = random_bytes(32, 1);
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::Hmac::compute(crypto::HashKind::kSha256, key, data));
   }
@@ -119,8 +114,8 @@ void BM_HmacSha256(benchmark::State& state) {
 BENCHMARK(BM_HmacSha256)->Arg(1 << 10)->Arg(1 << 20);
 
 void BM_AesCbcMac(benchmark::State& state) {
-  const auto key = random_bytes(16);
-  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)));
+  const auto key = random_bytes(16, 1);
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::CbcMac::compute(key, data));
   }
@@ -130,7 +125,7 @@ void BM_AesCbcMac(benchmark::State& state) {
 BENCHMARK(BM_AesCbcMac)->Arg(1 << 10)->Arg(64 << 10);
 
 void BM_DrbgGenerate(benchmark::State& state) {
-  crypto::HmacDrbg drbg(random_bytes(32));
+  crypto::HmacDrbg drbg(random_bytes(32, 1));
   support::Bytes out(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     drbg.generate(out);
@@ -145,7 +140,7 @@ void BM_EcdsaSign(benchmark::State& state) {
   const auto curve = static_cast<crypto::CurveId>(state.range(0));
   crypto::HmacDrbg drbg(random_bytes(32, 7));
   const auto key = crypto::ecdsa_generate_key(curve, drbg);
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64, 1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ecdsa_sign(key, digest));
   }
@@ -157,7 +152,7 @@ void BM_EcdsaVerify(benchmark::State& state) {
   const auto curve = static_cast<crypto::CurveId>(state.range(0));
   crypto::HmacDrbg drbg(random_bytes(32, 8));
   const auto key = crypto::ecdsa_generate_key(curve, drbg);
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64, 1));
   const auto sig = crypto::ecdsa_sign(key, digest);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ecdsa_verify(curve, key.public_key, digest, sig));
@@ -180,7 +175,7 @@ const crypto::RsaKeyPair& rsa_key(std::size_t bits) {
 
 void BM_RsaSign(benchmark::State& state) {
   const auto& key = rsa_key(static_cast<std::size_t>(state.range(0)));
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64, 1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::rsa_sign_digest(key.priv, crypto::HashKind::kSha256,
                                                      digest));
@@ -190,7 +185,7 @@ BENCHMARK(BM_RsaSign)->Arg(1024)->Arg(2048);
 
 void BM_RsaVerify(benchmark::State& state) {
   const auto& key = rsa_key(static_cast<std::size_t>(state.range(0)));
-  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64));
+  const auto digest = crypto::hash_oneshot(crypto::HashKind::kSha256, random_bytes(64, 1));
   const auto sig = crypto::rsa_sign_digest(key.priv, crypto::HashKind::kSha256, digest);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

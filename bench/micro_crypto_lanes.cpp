@@ -52,12 +52,7 @@ double now_seconds() {
       .count();
 }
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
+using support::random_bytes;
 
 std::string hash_label(crypto::HashKind kind) {
   return kind == crypto::HashKind::kSha256 ? "sha256" : "blake2s";

@@ -139,11 +139,12 @@ void BM_NetworkScenario(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     obs::EventJournal journal;
+    obs::Observer observer(nullptr, &journal);
     apps::NetworkScenarioConfig config;
     config.rounds = 2;
     config.drop_probability = 0.1;
     config.seed = seed++;
-    if (journaled) config.journal = &journal;
+    if (journaled) config.observer = &observer;
     benchmark::DoNotOptimize(apps::run_network_scenario(config));
   }
   state.SetLabel(journaled ? "journal" : "no-journal");

@@ -18,22 +18,18 @@
 #include <string>
 
 #include "src/apps/scenario.hpp"
-#include "src/obs/journal.hpp"
 #include "src/obs/timeline.hpp"
-#include "src/obs/trace.hpp"
 
 using namespace rasc;
 
 namespace {
 
-void run(const char* label, attest::ExecutionMode mode, obs::TraceSink* trace,
-         obs::EventJournal* journal) {
+void run(const char* label, attest::ExecutionMode mode, obs::Observer* observer) {
   apps::FireAlarmScenarioConfig config;
   config.modeled_memory_bytes = 1ull << 30;  // the paper's 1 GB prover
   config.mode = mode;
   config.fire_after_mp_start = 100 * sim::kMillisecond;
-  config.trace = trace;
-  config.journal = journal;
+  config.observer = observer;
 
   const auto outcome = apps::run_fire_alarm_scenario(config);
   std::printf("--- %s ---\n", label);
@@ -70,11 +66,12 @@ int main(int argc, char** argv) {
 
   obs::TraceSink sink;
   obs::EventJournal journal;
+  obs::Observer observer(trace_out.empty() ? nullptr : &sink,
+                         journal_out.empty() ? nullptr : &journal);
   run("SMART-style atomic MP (uninterruptible)", attest::ExecutionMode::kAtomic,
-      trace_out.empty() ? nullptr : &sink,
-      journal_out.empty() ? nullptr : &journal);
+      &observer);
   run("Interruptible MP (block-granular preemption)",
-      attest::ExecutionMode::kInterruptible, nullptr, nullptr);
+      attest::ExecutionMode::kInterruptible, nullptr);
 
   if (!journal_out.empty()) {
     if (journal.write_ndjson(journal_out)) {

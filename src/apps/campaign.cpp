@@ -75,7 +75,8 @@ exp::CampaignSpec make_fire_alarm_campaign() {
     config.fire_after_mp_start =
         static_cast<sim::Duration>(ctx.rng.uniform() * mp_estimate_ms * sim::kMillisecond);
     exp::TrialOutput out;
-    config.metrics = &out.metrics;
+    obs::Observer observer(nullptr, nullptr, &out.metrics);
+    config.observer = &observer;
     const FireAlarmScenarioOutcome outcome = run_fire_alarm_scenario(config);
     // Bernoulli channel: one attempt per executed sensor sample, success
     // when the sample missed its deadline (the paper's availability risk).
@@ -307,7 +308,8 @@ exp::CampaignSpec make_network_reliability_campaign() {
   spec.trial = [](const exp::GridPoint& point, exp::TrialContext& ctx) {
     NetworkScenarioConfig config = network_scenario_config(point, ctx.seed);
     exp::TrialOutput out;
-    config.metrics = &out.metrics;
+    obs::Observer observer(nullptr, nullptr, &out.metrics);
+    config.observer = &observer;
     config.health = &out.health;
     const NetworkScenarioOutcome outcome = run_network_scenario(config);
     // The acceptance invariant: zero leaked done callbacks, asserted per
@@ -318,7 +320,6 @@ exp::CampaignSpec make_network_reliability_campaign() {
     // healthy, so any terminal outcome but Verified misjudges it.
     out.successes = outcome.rounds_resolved - outcome.verified;
     out.attempts = outcome.rounds_resolved;
-    out.value("resolved", outcome.all_resolved ? 1.0 : 0.0);
     out.value("attempts_per_round",
               static_cast<double>(outcome.total_attempts) /
                   static_cast<double>(outcome.rounds_resolved));

@@ -6,13 +6,6 @@
 
 namespace rasc::apps {
 
-support::Bytes provision_image(std::size_t size, std::uint64_t provision_seed) {
-  support::Xoshiro256 rng(provision_seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 namespace {
 
 void provision(sim::Device& device, std::uint64_t seed) {
@@ -153,8 +146,7 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
 
 NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config) {
   sim::Simulator simulator;
-  obs::Observer observer(config.trace, config.journal, config.metrics);
-  simulator.set_observer(&observer);
+  simulator.set_observer(config.observer);
   sim::DeviceConfig dev_config;
   dev_config.id = "prv-net";
   dev_config.memory_size = config.blocks * config.block_size;
@@ -166,7 +158,6 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
   attest::Verifier verifier(config.hash, dev_config.attestation_key,
                             device.memory().snapshot(), config.block_size,
                             challenge_seed_for(config.seed));
-  verifier.set_metrics(config.metrics);
 
   if (config.infected) {
     // Ground truth: one malware byte in the middle of memory, planted
@@ -266,8 +257,7 @@ FireAlarmScenarioOutcome run_fire_alarm_scenario(const FireAlarmScenarioConfig& 
   dev_config.block_size = real_block_size;
   dev_config.attestation_key = support::to_bytes("fire-alarm-key");
   sim::Device device(simulator, dev_config);
-  obs::Observer observer(config.trace, config.journal, config.metrics);
-  simulator.set_observer(&observer);
+  simulator.set_observer(config.observer);
   provision(device, config.provision_seed.value_or(0xf12e + config.seed));
   device.model().set_hash_time_scale(static_cast<double>(config.modeled_memory_bytes) /
                                      static_cast<double>(dev_config.memory_size));

@@ -19,9 +19,8 @@
 #include "src/malware/relocating.hpp"
 #include "src/malware/transient.hpp"
 #include "src/obs/health.hpp"
-#include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
+#include "src/obs/observer.hpp"
+#include "src/support/rng.hpp"
 
 namespace rasc::apps {
 
@@ -91,14 +90,12 @@ struct FireAlarmScenarioConfig {
   /// Pre-digested golden shared across a cell's trials; must match the
   /// provisioned image.  Null = digest a device snapshot per trial.
   std::shared_ptr<const attest::GoldenMeasurement> golden;
-  /// Optional observability (not owned): `trace` captures the full device
-  /// timeline (CPU segments, measurement spans, alarm instants); `metrics`
-  /// accumulates fire_alarm.* counters and the sample-delay histogram.
-  obs::TraceSink* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder capturing deadline hits/misses, alarm raises and (with
-  /// a digest cache) cache events.
-  obs::EventJournal* journal = nullptr;
+  /// Optional observer (not owned), attached to the run's simulator.  Its
+  /// trace captures the full device timeline (CPU segments, measurement
+  /// spans, alarm instants); its journal and metrics get deadline
+  /// hits/misses and alarm raises (fire_alarm.* counters and the
+  /// sample-delay histogram).
+  obs::Observer* observer = nullptr;
 };
 
 struct FireAlarmScenarioOutcome {
@@ -145,11 +142,11 @@ struct NetworkScenarioConfig {
   /// becomes a false negative and kCompromised the correct verdict.
   bool infected = false;
   std::uint64_t seed = 1;
-  obs::TraceSink* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Flight recorder: link fates ("vrf->prv"/"prv->vrf" actors), session
-  /// attempts/backoffs/outcomes — the raw material for explain timelines.
-  obs::EventJournal* journal = nullptr;
+  /// Optional observer (not owned), attached to the run's simulator: link
+  /// fates ("vrf->prv"/"prv->vrf" actors), session attempts/backoffs/
+  /// outcomes and verifier verdicts — the raw material for explain
+  /// timelines — reach its journal, trace and metrics.
+  obs::Observer* observer = nullptr;
   /// Fleet health rollup fed by the session (one record per round).
   obs::HealthRollup* health = nullptr;
 };
@@ -191,6 +188,8 @@ NetworkScenarioOutcome run_network_scenario(const NetworkScenarioConfig& config)
 /// exposed so campaign factories can pre-digest a cell's golden image.
 /// Fire-alarm block size is fixed at kFireAlarmBlockSize.
 inline constexpr std::size_t kFireAlarmBlockSize = 4096;
-support::Bytes provision_image(std::size_t size, std::uint64_t provision_seed);
+inline support::Bytes provision_image(std::size_t size, std::uint64_t provision_seed) {
+  return support::random_bytes(size, provision_seed);
+}
 
 }  // namespace rasc::apps

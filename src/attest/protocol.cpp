@@ -146,17 +146,20 @@ void OnDemandProtocol::run(std::uint64_t counter,
                           [this, timings, report_wire = std::move(report_wire),
                            done = std::move(done)]() mutable {
             --pending_events_;
-            timings->t_verified = device_.sim().now();
+            auto& sim = device_.sim();
+            timings->t_verified = sim.now();
             const auto parsed = parse_report_wire(report_wire);
             if (parsed) {
               timings->outcome = verifier_.verify(*parsed, /*expect_challenge=*/true);
+              sim.emit(obs::JournalEventKind::kVerifierVerdict, {device_.id()}, {}, 0,
+                       timings->outcome.failed_checks(), timings->outcome.localized.size());
             } else {
               timings->report_wire_ok = false;
               timings->outcome = VerifyOutcome{};
               timings->outcome.challenge_ok = false;
               timings->outcome.counter_ok = false;
             }
-            if (auto* sink = device_.sim().trace_sink()) {
+            if (auto* sink = sim.trace_sink()) {
               sink->end(timings->t_verified, "vrf",
                         {obs::arg("verdict",
                                   std::string(timings->outcome.ok() ? "ok" : "fail"))});

@@ -122,21 +122,6 @@ VerifyOutcome Verifier::verify(const Report& report, bool expect_challenge) {
     last_counter_ = report.counter;
     if (expect_challenge) outstanding_challenge_.reset();
   }
-  if (metrics_ != nullptr) {
-    metrics_->counter("verifier.verify_total").inc();
-    if (!out.ok()) metrics_->counter("verifier.verify_fail").inc();
-    if (!out.mac_ok) metrics_->counter("verifier.fail_mac").inc();
-    if (!out.digest_ok) metrics_->counter("verifier.fail_digest").inc();
-    if (!out.challenge_ok) metrics_->counter("verifier.fail_challenge").inc();
-    if (!out.counter_ok) metrics_->counter("verifier.fail_counter").inc();
-    if (out.used_tree) {
-      if (!out.tree_root_bound) metrics_->counter("verifier.fail_tree_binding").inc();
-      if (!out.proofs_ok) metrics_->counter("verifier.fail_proof").inc();
-      if (!out.localized.empty()) {
-        metrics_->counter("verifier.localized_ranges").inc(out.localized.size());
-      }
-    }
-  }
   return out;
 }
 

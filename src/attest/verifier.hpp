@@ -11,7 +11,7 @@
 #include "src/attest/measurement.hpp"
 #include "src/attest/report.hpp"
 #include "src/crypto/drbg.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/obs/journal.hpp"
 
 namespace rasc::attest {
 
@@ -38,6 +38,19 @@ struct VerifyOutcome {
   /// Only populated when the MAC held and the root was bound — a forged
   /// report never steers localization.
   std::vector<BlockRange> localized;
+
+  /// The obs::VerdictBit mask a verifier.verdict fact carries.
+  std::uint64_t failed_checks() const noexcept {
+    std::uint64_t bits = 0;
+    if (!ok()) bits |= obs::kVerdictRejected;
+    if (!mac_ok) bits |= obs::kVerdictBadMac;
+    if (!digest_ok) bits |= obs::kVerdictBadDigest;
+    if (!challenge_ok) bits |= obs::kVerdictBadChallenge;
+    if (!counter_ok) bits |= obs::kVerdictBadCounter;
+    if (used_tree && !tree_root_bound) bits |= obs::kVerdictBadTreeBinding;
+    if (used_tree && !proofs_ok) bits |= obs::kVerdictBadProof;
+    return bits;
+  }
 };
 
 class Verifier {
@@ -75,14 +88,6 @@ class Verifier {
   std::uint64_t last_counter() const noexcept { return last_counter_; }
   void reset_counter() noexcept { last_counter_seen_ = false; }
 
-  /// Attach a metrics registry (not owned; nullptr to detach).  verify()
-  /// then accounts "verifier.verify_total", "verifier.verify_fail" and a
-  /// per-cause breakdown ("verifier.fail_mac", "verifier.fail_digest",
-  /// "verifier.fail_challenge", "verifier.fail_counter"); tree-mode
-  /// reports additionally account "verifier.fail_tree_binding",
-  /// "verifier.fail_proof" and "verifier.localized_ranges".
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-
   /// Per-session verifier state for hibernation: the challenge DRBG
   /// position, the outstanding challenge (if a round is mid-flight when
   /// captured — normally absent at quiescence), and the replay-protection
@@ -117,7 +122,6 @@ class Verifier {
   std::optional<support::Bytes> outstanding_challenge_;
   bool last_counter_seen_ = false;
   std::uint64_t last_counter_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace rasc::attest

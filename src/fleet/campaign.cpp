@@ -68,8 +68,6 @@ exp::CampaignSpec make_fleet_scale_campaign() {
     out.successes = result.misjudged_rounds;
     out.attempts = result.rounds_resolved;
 
-    out.value("resolved",
-              result.rounds_resolved == config.devices * config.epochs ? 1.0 : 0.0);
     out.value("rounds_per_sim_second", result.rounds_per_sim_second);
     out.value("verifier_bytes_per_device",
               result.memory.bytes_per_device(config.devices));

@@ -149,18 +149,11 @@ struct ShardState {
   obs::HealthRollup health;
 };
 
-support::Bytes random_bytes(std::uint64_t seed, std::size_t n) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes bytes(n);
-  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
-  return bytes;
-}
-
 ShardState make_shard_state(const FleetConfig& config, std::size_t shard) {
   ShardState state;
-  state.image = random_bytes(shard_stream(config.seed, shard, kImageSalt),
-                             config.blocks * config.block_size);
-  state.key = random_bytes(shard_stream(config.seed, shard, kKeySalt), kKeyBytes);
+  state.image = support::random_bytes(config.blocks * config.block_size,
+                                      shard_stream(config.seed, shard, kImageSalt));
+  state.key = support::random_bytes(kKeyBytes, shard_stream(config.seed, shard, kKeySalt));
   state.golden = std::make_shared<const attest::GoldenMeasurement>(
       state.image, config.block_size, config.hash, state.key);
   return state;
@@ -236,7 +229,6 @@ struct DeviceStack {
                 make_session_config(config, index)) {
     device.memory().load(shard.image);
     mp.set_shared_digest_cache(&shard.cache);
-    verifier.set_metrics(config.metrics);
   }
 
   /// First-build provisioning (a rebuilt stack uses restore() instead).
@@ -886,12 +878,9 @@ std::vector<obs::RoundOutcome> replay_device(
   // itself) — cache hits are bit-identical to recomputation, so sharing
   // verifier state with fleet neighbors cannot change outcomes, and the
   // replay cross-check proves exactly that.
-  FleetConfig replay_config = config;
-  replay_config.metrics = nullptr;
-  replay_config.journal = nullptr;
-  ShardState shard = make_shard_state(replay_config, shard_index);
-  DeviceStack stack(simulator, replay_config, shard, device);
-  stack.provision(replay_config, shard, roster.infected(device));
+  ShardState shard = make_shard_state(config, shard_index);
+  DeviceStack stack(simulator, config, shard, device);
+  stack.provision(config, shard, roster.infected(device));
 
   std::vector<obs::RoundOutcome> outcomes;
   outcomes.reserve(start_times.size());

@@ -67,9 +67,29 @@ enum class JournalEventKind : std::uint8_t {
   // so existing numeric payloads keep their values).
   kFleetHibernate,  ///< a = rounds resolved so far, b = live stacks after
   kFleetWake,       ///< a = wakes of this device so far, b = live stacks after
+  // Verifier verdict on a parsed report, emitted by attest::OnDemandProtocol
+  // and smarm::run_rounds — actor = prover device.  An unparsable report
+  // yields none.
+  kVerifierVerdict,  ///< a = VerdictBit mask, b = localized block ranges
+  // smarm::run_rounds — one per permutation round, round = its 1-based index.
+  kSmarmRound,  ///< a = 1 when the verifier rejected the report, b = measure ns
 };
 inline constexpr std::size_t kJournalEventKindCount =
-    static_cast<std::size_t>(JournalEventKind::kFleetWake) + 1;
+    static_cast<std::size_t>(JournalEventKind::kSmarmRound) + 1;
+
+/// Bits of a verifier.verdict fact's `a`: kVerdictRejected when the report
+/// failed verification, plus one bit per failed check.  The tree bits are
+/// set only for tree-mode reports.
+enum VerdictBit : std::uint64_t {
+  kVerdictRejected = 1u << 0,
+  kVerdictBadMac = 1u << 1,
+  kVerdictBadDigest = 1u << 2,
+  kVerdictBadChallenge = 1u << 3,
+  kVerdictBadCounter = 1u << 4,
+  kVerdictBadTreeBinding = 1u << 5,
+  kVerdictBadProof = 1u << 6,
+};
+inline constexpr std::size_t kVerdictBitCount = 7;
 
 /// Stable machine name ("link.drop", "session.resolved", ...), read from
 /// the per-kind table in observer.cpp.

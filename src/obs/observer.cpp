@@ -21,6 +21,9 @@ struct ArgSpec {
 struct KindSpec {
   std::string_view journal;
   std::array<std::string_view, 2> counters{};
+  /// Counter i is bumped when bit i of `a` is set.
+  std::array<std::string_view, kVerdictBitCount> a_bit_counters{};
+  std::string_view b_counter{};  ///< advanced by `b`
   bool outcome_counter = false;  ///< also bump "session.<outcome a>"
   std::string_view histogram{};  ///< records `histogram_from` in ms
   From histogram_from = From::kA;
@@ -72,6 +75,14 @@ constexpr KindSpec kSpecs[] = {
     {.journal = "mtree.proof"},
     {.journal = "fleet.hibernate"},
     {.journal = "fleet.wake"},
+    {.journal = "verifier.verdict", .counters = {"verifier.verify_total"},
+     .a_bit_counters = {"verifier.verify_fail", "verifier.fail_mac", "verifier.fail_digest",
+                        "verifier.fail_challenge", "verifier.fail_counter",
+                        "verifier.fail_tree_binding", "verifier.fail_proof"},
+     .b_counter = "verifier.localized_ranges"},
+    {.journal = "smarm.round", .counters = {"smarm.rounds"},
+     .a_bit_counters = {"smarm.detections"}, .histogram = "smarm.round_duration_ms",
+     .histogram_from = From::kB},
 };
 static_assert(std::size(kSpecs) == kJournalEventKindCount, "one row per kind");
 
@@ -120,11 +131,18 @@ void Observer::emit(TimeNs t, JournalEventKind kind, ActorRef actor, ActorRef se
     journal_->append(t, intern(*journal_, actor), session_id, round, kind, a, b);
   }
   if (metrics_ != nullptr) {
-    for (std::size_t i = 0; i < spec.counters.size(); ++i) {
-      if (!spec.counters[i].empty()) counter(2 * k + i, {}, spec.counters[i]).inc();
+    // A counter bumped by zero is not created, so a registry holds only
+    // the counters a run touched.
+    const auto bump = [&](std::size_t slot, std::string_view name, std::uint64_t n) {
+      if (!name.empty() && n != 0) counter(kCounterSlots * k + slot, {}, name).inc(n);
+    };
+    for (std::size_t i = 0; i < spec.counters.size(); ++i) bump(i, spec.counters[i], 1);
+    for (std::size_t i = 0; i < kVerdictBitCount; ++i) {
+      bump(2 + i, spec.a_bit_counters[i], (a >> i) & 1);
     }
+    bump(kCounterSlots - 1, spec.b_counter, b);
     if (spec.outcome_counter && a < kRoundOutcomeCount) {
-      counter(2 * kJournalEventKindCount + a, "session.",
+      counter(kCounterSlots * kJournalEventKindCount + a, "session.",
               round_outcome_name(static_cast<RoundOutcome>(a)))
           .inc();
     }

@@ -7,7 +7,9 @@
 /// channels record a kind, and under which names, is one row of the
 /// per-kind table in observer.cpp (kSpecs): the journal name, up to two
 /// counters (a partition drop bumps "net.dropped" and
-/// "net.partition_dropped"), at most one histogram in milliseconds, and at
+/// "net.partition_dropped"), one counter per set bit of `a` (a verdict
+/// bumps "verifier.fail_<check>" per failed check), one counter advanced
+/// by `b`, at most one histogram in milliseconds, and at
 /// most one trace instant with up to two args ("net.drop" carries
 /// bytes = b; "fire_alarm.deadline_miss" exists for misses only).
 ///
@@ -70,8 +72,11 @@ class Observer {
   TraceSink* trace_;
   EventJournal* journal_;
   MetricsRegistry* metrics_;
-  /// Two slots per kind, then one per session outcome.
-  std::array<Counter*, 2 * kJournalEventKindCount + kRoundOutcomeCount> counters_{};
+  /// Per kind: two fixed counters, one per bit of `a`, one advanced by
+  /// `b`; then one slot per session outcome.
+  static constexpr std::size_t kCounterSlots = 2 + kVerdictBitCount + 1;
+  std::array<Counter*, kCounterSlots * kJournalEventKindCount + kRoundOutcomeCount>
+      counters_{};
   std::array<Histogram*, kJournalEventKindCount> histograms_{};
 };
 

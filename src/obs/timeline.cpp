@@ -80,6 +80,23 @@ std::string describe(const JournalEvent& ev) {
       return "rounds=" + std::to_string(ev.a) + " pool=" + std::to_string(ev.b);
     case JournalEventKind::kFleetWake:
       return "wake #" + std::to_string(ev.a) + " pool=" + std::to_string(ev.b);
+    case JournalEventKind::kVerifierVerdict: {
+      // Bit i of `a` names kVerdictChecks[i - 1] (bit 0 is the verdict).
+      static constexpr const char* kVerdictChecks[] = {"mac", "digest", "challenge",
+                                                       "counter", "tree_binding", "proof"};
+      std::string checks;
+      for (std::size_t i = 1; i < kVerdictBitCount; ++i) {
+        if (((ev.a >> i) & 1) == 0) continue;
+        checks += (checks.empty() ? "" : ", ") + std::string(kVerdictChecks[i - 1]);
+      }
+      std::string out = (ev.a & kVerdictRejected) != 0 ? "rejected" : "accepted";
+      if (!checks.empty()) out += " (bad " + checks + ")";
+      if (ev.b != 0) out += ", " + std::to_string(ev.b) + " localized ranges";
+      return out;
+    }
+    case JournalEventKind::kSmarmRound:
+      return std::string(ev.a != 0 ? "detected" : "escaped") + ", MP " + ms_fixed(ev.b) +
+             " ms";
   }
   return "";
 }

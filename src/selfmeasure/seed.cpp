@@ -85,20 +85,14 @@ void SeedVerifier::start(sim::Time until) {
   }
 }
 
-void SeedVerifier::count(const char* metric) const {
-  if (metrics_ != nullptr) metrics_->counter(metric).inc();
-}
-
 void SeedVerifier::on_report(const attest::Report& report) {
   if (report.counter == 0 || report.counter > outcomes_.size()) {
     ++replays_rejected_;
-    count("seed.replays_rejected");
     return;
   }
   EpochOutcome& outcome = outcomes_[report.counter - 1];
   if (outcome.received) {  // duplicate/replay within the same epoch
     ++replays_rejected_;
-    count("seed.replays_rejected");
     if (auto* sink = sim_.trace_sink()) {
       sink->instant(sim_.now(), "seed", "seed.replay_rejected",
                     {obs::arg("epoch", outcome.epoch)});
@@ -106,11 +100,9 @@ void SeedVerifier::on_report(const attest::Report& report) {
     return;
   }
   outcome.received = true;
-  count("seed.reports_received");
   const auto verdict = verifier_.verify(report, /*expect_challenge=*/false);
   outcome.verified_ok = verdict.ok();
   if (!outcome.verified_ok) {
-    count("seed.bad_reports");
     if (auto* sink = sim_.trace_sink()) {
       sink->instant(sim_.now(), "seed", "seed.bad_report",
                     {obs::arg("epoch", outcome.epoch)});
@@ -120,10 +112,8 @@ void SeedVerifier::on_report(const attest::Report& report) {
 
 void SeedVerifier::close_epoch(std::size_t slot) {
   EpochOutcome& outcome = outcomes_[slot];
-  count("seed.epochs");
   if (!outcome.received) {
     outcome.missing = true;
-    count("seed.missing_epochs");
     if (auto* sink = sim_.trace_sink()) {
       sink->instant(sim_.now(), "seed", "seed.missing_epoch",
                     {obs::arg("epoch", outcome.epoch)});

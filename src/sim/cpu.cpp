@@ -26,15 +26,6 @@ Duration Cpu::consumed(const std::string& name) const {
   return it == consumed_.end() ? 0 : it->second;
 }
 
-void Cpu::set_trace_capacity(std::size_t cap) {
-  trace_capacity_ = cap;
-  if (cap != 0 && trace_.size() > cap) {
-    trace_evicted_ += trace_.size() - cap;
-    trace_.erase(trace_.begin(),
-                 trace_.begin() + static_cast<std::ptrdiff_t>(trace_.size() - cap));
-  }
-}
-
 void Cpu::schedule_dispatch() {
   if (dispatch_pending_ || running_ != nullptr) return;
   dispatch_pending_ = true;
@@ -54,14 +45,6 @@ void Cpu::record_segment(Time start, const Process& p, Duration duration) {
     consumed_.emplace(p.name(), duration);
   } else {
     consumed_["(other)"] += duration;
-  }
-
-  if (trace_enabled_) {
-    if (trace_capacity_ != 0 && trace_.size() >= trace_capacity_) {
-      trace_.erase(trace_.begin());
-      ++trace_evicted_;
-    }
-    trace_.push_back(ExecutionRecord{start, sim_.now(), p.name()});
   }
 
   if (auto* sink = sim_.trace_sink()) {

@@ -5,6 +5,7 @@
 
 #include "src/smarm/escape.hpp"
 #include "src/smarm/runner.hpp"
+#include "src/support/rng.hpp"
 
 namespace rasc::smarm {
 
@@ -46,8 +47,9 @@ exp::CampaignSpec make_fullstack_escape_campaign() {
   auto goldens = std::make_shared<
       std::map<std::int64_t, std::shared_ptr<const attest::GoldenMeasurement>>>();
   for (const std::int64_t blocks : block_counts) {
-    const auto image = firmware_image(static_cast<std::size_t>(blocks) * kBlockSize,
-                                      kProvisionSeedBase + static_cast<std::uint64_t>(blocks));
+    const auto image =
+        support::random_bytes(static_cast<std::size_t>(blocks) * kBlockSize,
+                              kProvisionSeedBase + static_cast<std::uint64_t>(blocks));
     (*goldens)[blocks] = std::make_shared<const attest::GoldenMeasurement>(
         image, kBlockSize, crypto::HashKind::kSha256,
         support::to_bytes("smarm-shared-key"));
@@ -62,7 +64,8 @@ exp::CampaignSpec make_fullstack_escape_campaign() {
         kProvisionSeedBase + static_cast<std::uint64_t>(point.i64("blocks"));
     config.golden = goldens->at(point.i64("blocks"));
     exp::TrialOutput out;
-    config.metrics = &out.metrics;
+    obs::Observer observer(nullptr, nullptr, &out.metrics);
+    config.observer = &observer;
     const RunnerOutcome outcome = run_rounds(config);
     out.bernoulli(outcome.rounds_run == 1 && outcome.detections == 0);
     out.value("relocations", static_cast<double>(outcome.malware_relocations));

@@ -4,13 +4,6 @@
 
 namespace rasc::smarm {
 
-support::Bytes firmware_image(std::size_t size, std::uint64_t provision_seed) {
-  support::Xoshiro256 rng(provision_seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 RunnerOutcome run_rounds(const RunnerConfig& config) {
   sim::Simulator simulator;
   sim::DeviceConfig dev_config;
@@ -21,7 +14,7 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
   sim::Device device(simulator, dev_config);
   const std::uint64_t provision_seed =
       config.provision_seed.value_or(0xf1f0 + config.seed);
-  device.memory().load(firmware_image(device.memory().size(), provision_seed));
+  device.memory().load(support::random_bytes(device.memory().size(), provision_seed));
 
   // Challenge stream decorrelated from the trial seed so Monte-Carlo
   // trials exercise independent challenges, not one replayed sequence.
@@ -52,9 +45,7 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
     malware.on_measurement_progress(done, total);
   });
 
-  obs::Observer observer(config.trace);
-  simulator.set_observer(&observer);
-  if (config.metrics != nullptr) verifier.set_metrics(config.metrics);
+  simulator.set_observer(config.observer);
 
   RunnerOutcome outcome;
   for (std::size_t round = 0; round < config.rounds; ++round) {
@@ -65,32 +56,30 @@ RunnerOutcome run_rounds(const RunnerConfig& config) {
     attest::VerifyOutcome verdict;
     sim::Time t_s = 0;
     sim::Time t_e = 0;
-    const sim::Time round_start = simulator.now();
-    if (config.trace != nullptr) {
-      config.trace->begin(round_start, "smarm", "smarm.round",
-                          {obs::arg("round", static_cast<std::uint64_t>(round + 1))});
+    if (auto* sink = simulator.trace_sink()) {
+      sink->begin(simulator.now(), "smarm", "smarm.round",
+                  {obs::arg("round", static_cast<std::uint64_t>(round + 1))});
     }
     mp.start(std::move(context), [&](attest::AttestationResult result) {
       verdict = verifier.verify(result.report, /*expect_challenge=*/true);
+      simulator.emit(obs::JournalEventKind::kVerifierVerdict, {device.id()}, {}, 0,
+                     verdict.failed_checks(), verdict.localized.size());
       t_s = result.t_s;
       t_e = result.t_e;
       done = true;
     });
     simulator.run();
-    if (config.trace != nullptr) {
-      config.trace->end(simulator.now(), "smarm",
-                        {obs::arg("detected", std::string(done && !verdict.ok() ? "yes" : "no"))});
+    if (auto* sink = simulator.trace_sink()) {
+      sink->end(simulator.now(), "smarm",
+                {obs::arg("detected", std::string(done && !verdict.ok() ? "yes" : "no"))});
     }
     if (!done) break;  // should not happen: the simulation quiesced early
     ++outcome.rounds_run;
-    if (config.metrics != nullptr) {
-      config.metrics->counter("smarm.rounds").inc();
-      config.metrics->histogram("smarm.round_duration_ms").record(sim::to_millis(t_e - t_s));
-    }
+    simulator.emit(obs::JournalEventKind::kSmarmRound, {device.id()}, {}, round + 1,
+                   verdict.ok() ? 0 : 1, t_e - t_s);
     if (!verdict.ok()) {
       ++outcome.detections;
       outcome.ever_detected = true;
-      if (config.metrics != nullptr) config.metrics->counter("smarm.detections").inc();
     }
   }
   outcome.malware_relocations = malware.relocations();

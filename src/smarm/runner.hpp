@@ -14,8 +14,7 @@
 #include "src/attest/prover.hpp"
 #include "src/attest/verifier.hpp"
 #include "src/malware/relocating.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
+#include "src/obs/observer.hpp"
 #include "src/sim/device.hpp"
 
 namespace rasc::smarm {
@@ -37,12 +36,13 @@ struct RunnerConfig {
   /// the provisioned firmware (same provision_seed / size / hash / key);
   /// when null the verifier digests its own golden from a device snapshot.
   std::shared_ptr<const attest::GoldenMeasurement> golden;
-  /// Optional observability (not owned): `trace` receives the device
-  /// timeline plus a "smarm.round" span per permutation round; `metrics`
-  /// accumulates "smarm.rounds"/"smarm.detections" counters and a
-  /// "smarm.round_duration_ms" histogram across runs.
-  obs::TraceSink* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional observer (not owned), attached to the run's simulator.  Its
+  /// trace gets the device timeline plus a "smarm.round" span per
+  /// permutation round; each round emits one verifier.verdict and one
+  /// smarm.round fact, which its metrics count as "verifier.*",
+  /// "smarm.rounds"/"smarm.detections" and a "smarm.round_duration_ms"
+  /// histogram.
+  obs::Observer* observer = nullptr;
 };
 
 struct RunnerOutcome {
@@ -52,11 +52,6 @@ struct RunnerOutcome {
   std::size_t malware_relocations = 0;
   std::size_t malware_blocked_relocations = 0;
 };
-
-/// Deterministic benign "firmware" image for a given provisioning seed —
-/// exactly what run_rounds loads into device memory, exposed so campaign
-/// factories can pre-digest the cell's golden image once.
-support::Bytes firmware_image(std::size_t size, std::uint64_t provision_seed);
 
 /// Run `config.rounds` back-to-back measurements on a fresh device with
 /// the malware resident throughout; returns per-round detection counts.

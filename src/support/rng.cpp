@@ -33,4 +33,11 @@ double Xoshiro256::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
+Bytes random_bytes(std::size_t size, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Bytes bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  return bytes;
+}
+
 }  // namespace rasc::support

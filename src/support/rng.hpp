@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "src/support/bytes.hpp"
+
 namespace rasc::support {
 
 /// SplitMix64: used to expand a user seed into generator state.
@@ -81,5 +83,10 @@ class Xoshiro256 {
  private:
   std::uint64_t s_[4];
 };
+
+/// `size` bytes drawn from Xoshiro256(`seed`): the deterministic firmware
+/// images that scenarios, campaigns and fleet shards provision (a fleet
+/// shard's simulated key comes from here too).
+Bytes random_bytes(std::size_t size, std::uint64_t seed);
 
 }  // namespace rasc::support

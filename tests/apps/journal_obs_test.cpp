@@ -37,9 +37,10 @@ std::size_t count_kind(const obs::EventJournal& journal,
 
 TEST(JournalIntegration, NetworkScenarioPopulatesJournalAndHealth) {
   obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
   obs::HealthRollup health;
   NetworkScenarioConfig config = lossy_config();
-  config.journal = &journal;
+  config.observer = &observer;
   config.health = &health;
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
   ASSERT_TRUE(outcome.all_resolved);
@@ -82,8 +83,9 @@ TEST(JournalIntegration, AttachingJournalChangesNothingObservable) {
   NetworkScenarioConfig bare = lossy_config();
   const NetworkScenarioOutcome without = run_network_scenario(bare);
   obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
   NetworkScenarioConfig observed = lossy_config();
-  observed.journal = &journal;
+  observed.observer = &observer;
   const NetworkScenarioOutcome with = run_network_scenario(observed);
   EXPECT_EQ(with.verified, without.verified);
   EXPECT_EQ(with.timeouts, without.timeouts);
@@ -98,8 +100,9 @@ TEST(JournalIntegration, AttachingJournalChangesNothingObservable) {
 TEST(JournalIntegration, NdjsonIsByteIdenticalAcrossReruns) {
   const auto capture = [] {
     obs::EventJournal journal;
+    obs::Observer observer(nullptr, &journal);
     NetworkScenarioConfig config = lossy_config();
-    config.journal = &journal;
+    config.observer = &observer;
     (void)run_network_scenario(config);
     return journal.to_ndjson();
   };
@@ -110,8 +113,9 @@ TEST(JournalIntegration, NdjsonIsByteIdenticalAcrossReruns) {
 
 TEST(JournalIntegration, TimelinesReconstructEveryRound) {
   obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
   NetworkScenarioConfig config = lossy_config();
-  config.journal = &journal;
+  config.observer = &observer;
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
   const auto rounds = obs::build_round_timelines(journal);
   ASSERT_EQ(rounds.size(), outcome.rounds_resolved);
@@ -135,9 +139,10 @@ TEST(JournalIntegration, ProtocolEmitsMatchedChallengeAndReportFlows) {
   // and one report flow back, each a matched s/f pair in the Chrome
   // export so Perfetto draws the arrows across tracks.
   obs::TraceSink trace;
+  obs::Observer observer(&trace);
   NetworkScenarioConfig config;
   config.rounds = 2;
-  config.trace = &trace;
+  config.observer = &observer;
   const NetworkScenarioOutcome outcome = run_network_scenario(config);
   ASSERT_EQ(outcome.verified, 2u);
   const std::string json = trace.to_chrome_json();
@@ -158,11 +163,12 @@ TEST(JournalIntegration, ProtocolEmitsMatchedChallengeAndReportFlows) {
 
 TEST(JournalIntegration, FireAlarmJournalRecordsDeadlinesAndAlarm) {
   obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
   FireAlarmScenarioConfig config;
   config.modeled_memory_bytes = 64ull << 20;
   config.real_blocks = 64;
   config.mode = attest::ExecutionMode::kAtomic;
-  config.journal = &journal;
+  config.observer = &observer;
   const FireAlarmScenarioOutcome outcome = run_fire_alarm_scenario(config);
   EXPECT_EQ(count_kind(journal, obs::JournalEventKind::kDeadlineHit) +
                 count_kind(journal, obs::JournalEventKind::kDeadlineMiss),

@@ -21,12 +21,7 @@ namespace {
 
 using support::to_bytes;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
+using support::random_bytes;
 
 TEST(DigestBatch, MatchesScalarDigestForEveryConfiguration) {
   const support::Bytes key = random_bytes(16, 3);

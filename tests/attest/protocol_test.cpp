@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "src/obs/observer.hpp"
 #include "src/support/rng.hpp"
 #include "tests/support/fleet_fixtures.hpp"
 
@@ -163,6 +167,44 @@ TEST(Protocol, RequestWhileMeasurementBusyIsIgnoredNotFatal) {
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(protocol.requests_ignored_busy() + protocol.requests_rejected_replay(),
             1u);
+}
+
+TEST(Protocol, EveryParsedReportEmitsOneVerdictFact) {
+  // Every report is corrupted in transit: most still parse and fail
+  // verification; those with a garbled length field do not parse and
+  // must leave no verdict fact.
+  sim::LinkConfig corrupting;
+  corrupting.corrupt_probability = 1.0;
+  SessionHarness fx(SessionHarness::with_links({}, corrupting));
+  obs::EventJournal journal;
+  obs::Observer observer(nullptr, &journal);
+  fx.simulator.set_observer(&observer);
+  std::vector<std::uint64_t> parsed_checks;
+  std::size_t unparsable = 0;
+  std::function<void(std::uint64_t)> run_round = [&](std::uint64_t counter) {
+    fx.protocol.run(counter, [&, counter](OnDemandTimings t) {
+      if (t.report_wire_ok) {
+        parsed_checks.push_back(t.outcome.failed_checks());
+      } else {
+        ++unparsable;
+      }
+      if (counter < 40) run_round(counter + 1);
+    });
+  };
+  run_round(1);
+  fx.simulator.run();
+  ASSERT_GT(unparsable, 0u);
+  ASSERT_FALSE(parsed_checks.empty());
+
+  obs::JournalFilter verdicts;
+  verdicts.kind = obs::JournalEventKind::kVerifierVerdict;
+  const std::vector<obs::JournalEvent> facts = journal.select(verdicts);
+  ASSERT_EQ(facts.size(), parsed_checks.size());
+  for (std::size_t i = 0; i < facts.size(); ++i) {
+    EXPECT_EQ(facts[i].a, parsed_checks[i]);
+    EXPECT_NE(facts[i].a & obs::kVerdictRejected, 0u);
+    EXPECT_EQ(journal.actor_name(facts[i].actor), fx.device.id());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "src/obs/observer.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::attest {
@@ -14,10 +19,7 @@ constexpr std::size_t kBlocks = 8;
 constexpr std::size_t kBlockSize = 64;
 
 Bytes golden_image(std::uint64_t seed = 3) {
-  support::Xoshiro256 rng(seed);
-  Bytes image(kBlocks * kBlockSize);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
+  return support::random_bytes(kBlocks * kBlockSize, seed);
 }
 
 /// Produce a report as an honest prover with `image` in memory would.
@@ -134,6 +136,61 @@ TEST_F(VerifierTest, DeterministicChallengesPerSeed) {
   Verifier a(crypto::HashKind::kSha256, key_, image_, kBlockSize, 99);
   Verifier b(crypto::HashKind::kSha256, key_, image_, kBlockSize, 99);
   EXPECT_EQ(a.issue_challenge(), b.issue_challenge());
+}
+
+/// A verifier.verdict fact bumps verify_total, verify_fail when rejected,
+/// one fail_<check> per failed check (the tree checks only for tree-mode
+/// reports) and localized_ranges by the localized range count.
+TEST(VerdictFact, BumpsTheVerifierCountersOfEachFailedCheck) {
+  VerifyOutcome pass;
+  pass.mac_ok = true;
+  pass.digest_ok = true;
+  VerifyOutcome tree_pass = pass;
+  tree_pass.used_tree = true;
+  tree_pass.tree_root_bound = true;
+  const auto failing = [](VerifyOutcome outcome, bool VerifyOutcome::*check) {
+    outcome.*check = false;
+    return outcome;
+  };
+  VerifyOutcome localized = failing(tree_pass, &VerifyOutcome::digest_ok);
+  localized.localized = {{1, 2}, {5, 1}};
+  struct Case {
+    const char* name;
+    VerifyOutcome outcome;
+    std::map<std::string, std::uint64_t> counters;
+  };
+  const std::vector<Case> cases = {
+      {"pass", pass, {{"verifier.verify_total", 1}}},
+      {"mac", failing(pass, &VerifyOutcome::mac_ok),
+       {{"verifier.verify_total", 1}, {"verifier.verify_fail", 1}, {"verifier.fail_mac", 1}}},
+      {"digest", failing(pass, &VerifyOutcome::digest_ok),
+       {{"verifier.verify_total", 1}, {"verifier.verify_fail", 1},
+        {"verifier.fail_digest", 1}}},
+      {"challenge", failing(pass, &VerifyOutcome::challenge_ok),
+       {{"verifier.verify_total", 1}, {"verifier.verify_fail", 1},
+        {"verifier.fail_challenge", 1}}},
+      {"counter", failing(pass, &VerifyOutcome::counter_ok),
+       {{"verifier.verify_total", 1}, {"verifier.verify_fail", 1},
+        {"verifier.fail_counter", 1}}},
+      {"tree pass", tree_pass, {{"verifier.verify_total", 1}}},
+      {"tree binding", failing(tree_pass, &VerifyOutcome::tree_root_bound),
+       {{"verifier.verify_total", 1}, {"verifier.fail_tree_binding", 1}}},
+      {"proof", failing(tree_pass, &VerifyOutcome::proofs_ok),
+       {{"verifier.verify_total", 1}, {"verifier.fail_proof", 1}}},
+      {"localized", localized,
+       {{"verifier.verify_total", 1}, {"verifier.verify_fail", 1},
+        {"verifier.fail_digest", 1}, {"verifier.localized_ranges", 2}}},
+  };
+
+  for (const Case& c : cases) {
+    obs::MetricsRegistry metrics;
+    obs::Observer observer(nullptr, nullptr, &metrics);
+    observer.emit(0, obs::JournalEventKind::kVerifierVerdict, {"dev-1"}, {}, 0,
+                  c.outcome.failed_checks(), c.outcome.localized.size());
+    std::map<std::string, std::uint64_t> counted;
+    for (const auto& [name, counter] : metrics.counters()) counted[name] = counter.value();
+    EXPECT_EQ(counted, c.counters) << c.name;
+  }
 }
 
 }  // namespace

@@ -43,12 +43,7 @@ namespace {
 
 using namespace rasc;
 
-support::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
+using support::random_bytes;
 
 std::vector<crypto::LaneBackend> backends_under_test() {
   std::vector<crypto::LaneBackend> backends = {crypto::LaneBackend::kPortable};

@@ -179,7 +179,7 @@ TEST(FleetTree, VerifierBytesPerDeviceIncludesTreeAndStaysSubLinear) {
   // The shared pool includes at least the golden trees: a 16-leaf SHA-256
   // tree stores 31 nodes + 16 leaf digests.
   attest::GoldenMeasurement golden(
-      testfx::random_image(1, small_config.blocks * small_config.block_size),
+      support::random_bytes(small_config.blocks * small_config.block_size, 1),
       small_config.block_size, small_config.hash, support::to_bytes("k"));
   EXPECT_GE(small_stats.shared_bytes, 2 * golden.tree_memory_bytes());
 

@@ -5,11 +5,16 @@
 /// journal, trace, metrics or health channels record — an event dropped,
 /// duplicated, renamed, reordered or re-attributed — changes a digest.
 /// Together the runs cover every journal event kind except
-/// session.replay_rejected and cache.invalidate.
+/// session.replay_rejected, cache.invalidate and smarm.round.
+///
+/// The N and L journals are pinned twice: whole, and without their
+/// verifier.verdict lines.  The second pin predates that kind, so it
+/// shows the verdict facts were added without moving any other event.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "src/apps/scenario.hpp"
 #include "src/crypto/hash.hpp"
@@ -17,6 +22,7 @@
 #include "src/obs/health.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/observer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/hex.hpp"
 
@@ -28,11 +34,25 @@ std::string sha256_hex(const std::string& artifact) {
       crypto::HashKind::kSha256, support::to_bytes(artifact)));
 }
 
+std::string without_verdicts(const std::string& ndjson) {
+  std::string out;
+  std::size_t begin = 0;
+  while (begin < ndjson.size()) {
+    const std::size_t newline = ndjson.find('\n', begin);
+    const std::size_t end = newline == std::string::npos ? ndjson.size() : newline + 1;
+    const std::string_view line(ndjson.data() + begin, end - begin);
+    if (line.find("\"kind\":\"verifier.verdict\"") == std::string_view::npos) out += line;
+    begin = end;
+  }
+  return out;
+}
+
 TEST(ArtifactPin, LossyNetworkScenario) {
   obs::TraceSink trace;
   obs::EventJournal journal;
   obs::MetricsRegistry metrics;
   obs::HealthRollup health;
+  obs::Observer observer(&trace, &journal, &metrics);
   apps::NetworkScenarioConfig config;
   config.rounds = 16;
   config.drop_probability = 0.2;
@@ -43,14 +63,14 @@ TEST(ArtifactPin, LossyNetworkScenario) {
   config.session.max_attempts = 4;
   config.session.response_timeout = 60 * sim::kMillisecond;
   config.seed = 8;
-  config.trace = &trace;
-  config.journal = &journal;
-  config.metrics = &metrics;
+  config.observer = &observer;
   config.health = &health;
   apps::run_network_scenario(config);
 
-  EXPECT_EQ(sha256_hex(journal.to_ndjson()),
+  EXPECT_EQ(sha256_hex(without_verdicts(journal.to_ndjson())),
             "f392c3b4a3a09d2d648333c255805f154bb6d416aca53b6a9fb29dd677d7c824");
+  EXPECT_EQ(sha256_hex(journal.to_ndjson()),
+            "d9c9bfe79f0a34ee6c0573fe60bab591843e999e8740fdcb8e4130a3abe06141");
   EXPECT_EQ(sha256_hex(trace.to_chrome_json()),
             "fe6cc365dddcc62962f41b28f7db01460aba672996b7558d0ca08ff8d38770a9");
   EXPECT_EQ(sha256_hex(metrics.to_json()),
@@ -63,10 +83,9 @@ TEST(ArtifactPin, FireAlarmScenario) {
   obs::TraceSink trace;
   obs::EventJournal journal;
   obs::MetricsRegistry metrics;
+  obs::Observer observer(&trace, &journal, &metrics);
   apps::FireAlarmScenarioConfig config;
-  config.trace = &trace;
-  config.journal = &journal;
-  config.metrics = &metrics;
+  config.observer = &observer;
   apps::run_fire_alarm_scenario(config);
 
   EXPECT_EQ(sha256_hex(journal.to_ndjson()),
@@ -96,8 +115,10 @@ TEST(ArtifactPin, LossyTreeFleetWithHibernation) {
   config.metrics = &metrics;
   const fleet::FleetResult result = fleet::FleetVerifier(config).run();
 
-  EXPECT_EQ(sha256_hex(journal.to_ndjson()),
+  EXPECT_EQ(sha256_hex(without_verdicts(journal.to_ndjson())),
             "6dc9c2952092a879d8bf63d4f89b7cbd035cff803ee2e8d16e4cfc2b6e4a48df");
+  EXPECT_EQ(sha256_hex(journal.to_ndjson()),
+            "600f14f4e52e75201888dddb734f3672fd2e1471cb62fb2106c069cd8cc7ca6f");
   EXPECT_EQ(sha256_hex(metrics.to_json()),
             "defe2f380671fe32cb65f85fe4671434f8ebfdf97f3930b465bd2b34a794c25c");
   EXPECT_EQ(sha256_hex(result.health.to_json()),

@@ -18,13 +18,6 @@ namespace {
 
 using support::to_bytes;
 
-support::Bytes random_image(std::size_t size, std::uint64_t seed) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(size);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 TEST(CrossFeature, ErasmusWithDecLockConvictsTransientAtTs) {
   // Self-measurement + Dec-Lock: the transient adversary present at a
   // measurement's t_s cannot erase itself even between self-measurements'
@@ -32,7 +25,7 @@ TEST(CrossFeature, ErasmusWithDecLockConvictsTransientAtTs) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-el", 32 * 512, 512, to_bytes("el-key")});
-  device.memory().load(random_image(32 * 512, 3));
+  device.memory().load(support::random_bytes(32 * 512, 3));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("el-key"),
                             device.memory().snapshot(), 512);
 
@@ -68,7 +61,7 @@ TEST(CrossFeature, SignedReportsOverProtocolProvideNonRepudiation) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-sg", 16 * 512, 512, to_bytes("sg-key")});
-  device.memory().load(random_image(16 * 512, 4));
+  device.memory().load(support::random_bytes(16 * 512, 4));
   attest::Verifier verifier(crypto::HashKind::kSha256, to_bytes("sg-key"),
                             device.memory().snapshot(), 512);
 
@@ -99,7 +92,7 @@ TEST(CrossFeature, ShuffledCbcMacMeasurementVerifies) {
   sim::Simulator simulator;
   sim::Device device(simulator,
                      sim::DeviceConfig{"prv-sc", 16 * 512, 512, support::Bytes(16, 0x5c)});
-  device.memory().load(random_image(16 * 512, 5));
+  device.memory().load(support::random_bytes(16 * 512, 5));
   attest::Verifier verifier(crypto::HashKind::kSha256, support::Bytes(16, 0x5c),
                             device.memory().snapshot(), 512, 0xc0ffee,
                             attest::MacKind::kCbcMac);

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/apps/scenario.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
 
 namespace rasc::apps {
 namespace {
@@ -16,12 +14,12 @@ namespace {
 TEST(FireAlarmObservability, TraceMetricsAndOutcomeAgree) {
   obs::TraceSink trace;
   obs::MetricsRegistry metrics;
+  obs::Observer observer(&trace, nullptr, &metrics);
 
   FireAlarmScenarioConfig config;
   config.modeled_memory_bytes = 1ull << 30;  // ~7.5 s atomic measurement
   config.mode = attest::ExecutionMode::kAtomic;
-  config.trace = &trace;
-  config.metrics = &metrics;
+  config.observer = &observer;
 
   const auto outcome = run_fire_alarm_scenario(config);
 
@@ -79,9 +77,10 @@ TEST(FireAlarmObservability, TraceMetricsAndOutcomeAgree) {
 
 TEST(FireAlarmObservability, InterruptibleModeMissesNothing) {
   obs::MetricsRegistry metrics;
+  obs::Observer observer(nullptr, nullptr, &metrics);
   FireAlarmScenarioConfig config;
   config.mode = attest::ExecutionMode::kInterruptible;
-  config.metrics = &metrics;
+  config.observer = &observer;
 
   const auto outcome = run_fire_alarm_scenario(config);
   EXPECT_EQ(outcome.deadline_misses, 0u);

@@ -135,8 +135,6 @@ TEST(Seed, DuplicatedReportsAreRejectedAsReplays) {
   SeedFixture fx(/*drop=*/0.0, /*duplicate=*/1.0);
   SeedProver prover(fx.device, fx.config, fx.to_vrf);
   SeedVerifier seed_verifier(fx.simulator, fx.verifier, fx.config);
-  obs::MetricsRegistry metrics;
-  seed_verifier.set_metrics(&metrics);
   prover.set_delivery_handler(
       [&](const attest::Report& r) { seed_verifier.on_report(r); });
   prover.start(sim::from_seconds(60));
@@ -146,13 +144,11 @@ TEST(Seed, DuplicatedReportsAreRejectedAsReplays) {
   EXPECT_EQ(seed_verifier.replays_rejected(), 6u);
   EXPECT_EQ(seed_verifier.false_alarms(), 0u);
   EXPECT_EQ(seed_verifier.detections(), 0u);
-  for (const auto& o : seed_verifier.outcomes()) EXPECT_TRUE(o.verified_ok);
-  ASSERT_NE(metrics.find_counter("seed.replays_rejected"), nullptr);
-  EXPECT_EQ(metrics.find_counter("seed.replays_rejected")->value(), 6u);
-  ASSERT_NE(metrics.find_counter("seed.reports_received"), nullptr);
-  EXPECT_EQ(metrics.find_counter("seed.reports_received")->value(), 6u);
-  ASSERT_NE(metrics.find_counter("seed.epochs"), nullptr);
-  EXPECT_EQ(metrics.find_counter("seed.epochs")->value(), 6u);
+  ASSERT_EQ(seed_verifier.outcomes().size(), 6u);
+  for (const auto& o : seed_verifier.outcomes()) {
+    EXPECT_TRUE(o.received);
+    EXPECT_TRUE(o.verified_ok);
+  }
 }
 
 TEST(Seed, FalseAlarmRateTracksLossRate) {

@@ -143,53 +143,10 @@ TEST(Cpu, BusyReflectsRunningSegment) {
   EXPECT_FALSE(cpu.busy());
 }
 
-TEST(Cpu, TraceRecordsExecutions) {
-  Simulator sim;
-  Cpu cpu(sim);
-  cpu.enable_trace(true);
-  ScriptedProcess p("traced", 1, {10, 20}, sim);
-  cpu.make_ready(p);
-  sim.run();
-  ASSERT_EQ(cpu.trace().size(), 2u);
-  EXPECT_EQ(cpu.trace()[0].start, 0u);
-  EXPECT_EQ(cpu.trace()[0].end, 10u);
-  EXPECT_EQ(cpu.trace()[1].end, 30u);
-  EXPECT_EQ(cpu.trace()[0].process, "traced");
-}
-
 TEST(Cpu, ConsumedUnknownProcessIsZero) {
   Simulator sim;
   Cpu cpu(sim);
   EXPECT_EQ(cpu.consumed("ghost"), 0u);
-}
-
-TEST(Cpu, TraceCapacityEvictsOldestRecords) {
-  Simulator sim;
-  Cpu cpu(sim);
-  cpu.enable_trace(true);
-  cpu.set_trace_capacity(2);
-  ScriptedProcess p("traced", 1, {10, 10, 10, 10}, sim);
-  cpu.make_ready(p);
-  sim.run();
-  ASSERT_EQ(cpu.trace().size(), 2u);
-  EXPECT_EQ(cpu.trace_evicted(), 2u);
-  // The two most recent segments survive.
-  EXPECT_EQ(cpu.trace()[0].start, 20u);
-  EXPECT_EQ(cpu.trace()[1].end, 40u);
-}
-
-TEST(Cpu, ShrinkingTraceCapacityTrimsExisting) {
-  Simulator sim;
-  Cpu cpu(sim);
-  cpu.enable_trace(true);
-  ScriptedProcess p("traced", 1, {10, 10, 10}, sim);
-  cpu.make_ready(p);
-  sim.run();
-  ASSERT_EQ(cpu.trace().size(), 3u);
-  cpu.set_trace_capacity(1);
-  ASSERT_EQ(cpu.trace().size(), 1u);
-  EXPECT_EQ(cpu.trace_evicted(), 2u);
-  EXPECT_EQ(cpu.trace()[0].start, 20u);
 }
 
 TEST(Cpu, SegmentsReportToAttachedTraceSink) {
@@ -207,6 +164,7 @@ TEST(Cpu, SegmentsReportToAttachedTraceSink) {
   EXPECT_EQ(spans[0].track, "cpu/test");
   EXPECT_EQ(spans[0].start, 0u);
   EXPECT_EQ(spans[0].end, 10u);
+  EXPECT_EQ(spans[1].start, 10u);
   EXPECT_EQ(spans[1].end, 30u);
 }
 

@@ -85,5 +85,36 @@ TEST(Runner, DeterministicPerSeed) {
   EXPECT_EQ(a.malware_relocations, b.malware_relocations);
 }
 
+TEST(Runner, EachRoundEmitsAVerdictAndARoundFact) {
+  obs::EventJournal journal;
+  obs::MetricsRegistry metrics;
+  obs::Observer observer(nullptr, &journal, &metrics);
+  RunnerConfig config;
+  config.blocks = 16;
+  config.block_size = 256;
+  config.rounds = 4;
+  config.observer = &observer;
+  const auto outcome = run_rounds(config);
+  ASSERT_EQ(outcome.rounds_run, 4u);
+
+  obs::JournalFilter rounds;
+  rounds.kind = obs::JournalEventKind::kSmarmRound;
+  const std::vector<obs::JournalEvent> facts = journal.select(rounds);
+  ASSERT_EQ(facts.size(), 4u);
+  std::size_t detected = 0;
+  for (const obs::JournalEvent& fact : facts) {
+    detected += fact.a;
+    EXPECT_GT(fact.b, 0u);  // measurement duration
+  }
+  EXPECT_EQ(detected, outcome.detections);
+  EXPECT_EQ(metrics.find_counter("smarm.rounds")->value(), 4u);
+  EXPECT_EQ(metrics.find_counter("verifier.verify_total")->value(), 4u);
+  EXPECT_EQ(metrics.find_histogram("smarm.round_duration_ms")->count(), 4u);
+  const obs::Counter* detections = metrics.find_counter("smarm.detections");
+  EXPECT_EQ(detections == nullptr ? 0u : detections->value(), outcome.detections);
+  const obs::Counter* failures = metrics.find_counter("verifier.verify_fail");
+  EXPECT_EQ(failures == nullptr ? 0u : failures->value(), outcome.detections);
+}
+
 }  // namespace
 }  // namespace rasc::smarm

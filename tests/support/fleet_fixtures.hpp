@@ -22,15 +22,6 @@
 
 namespace rasc::testfx {
 
-/// Deterministic pseudo-random image (same generator the fleet shards
-/// use: one Xoshiro draw per byte).
-inline support::Bytes random_image(std::uint64_t seed, std::size_t bytes) {
-  support::Xoshiro256 rng(seed);
-  support::Bytes image(bytes);
-  for (auto& b : image) b = static_cast<std::uint8_t>(rng.below(256));
-  return image;
-}
-
 /// Short, jitterless session timers so deterministic test timelines are
 /// easy to reason about: one clean round completes in ~6 ms.
 inline attest::SessionConfig fast_session_config() {
@@ -91,8 +82,8 @@ struct SessionHarness {
                                  support::to_bytes(options.key)}),
         verifier(crypto::HashKind::kSha256, support::to_bytes(options.key),
                  [&] {
-                   support::Bytes image = random_image(
-                       options.image_seed, options.blocks * options.block_size);
+                   support::Bytes image = support::random_bytes(
+                       options.blocks * options.block_size, options.image_seed);
                    device.memory().load(image);
                    return image;
                  }(),
