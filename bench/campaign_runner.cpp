@@ -169,8 +169,17 @@ bool write_journals(const exp::CampaignResult& result, const std::string& dir,
       ok = false;
       continue;
     }
-    std::printf("\n=== journal %s: %s, trial %zu (%zu events) ===\n%s",
-                path.c_str(), cell.point.label().c_str(), trial, journal.size(),
+    // A full ring overwrites its oldest events: say so, or the transcript
+    // silently starts mid-run.
+    const auto dropped = static_cast<unsigned long long>(journal.dropped());
+    if (dropped != 0) {
+      std::fprintf(stderr,
+                   "campaign_runner: journal '%s' dropped its %llu oldest events "
+                   "(ring capacity %zu)\n",
+                   path.c_str(), dropped, journal.capacity());
+    }
+    std::printf("\n=== journal %s: %s, trial %zu (%zu events, %llu dropped) ===\n%s",
+                path.c_str(), cell.point.label().c_str(), trial, journal.size(), dropped,
                 obs::explain(journal, /*only_problem_rounds=*/true).c_str());
   }
   return ok;

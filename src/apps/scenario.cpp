@@ -135,7 +135,17 @@ LockScenarioOutcome run_lock_scenario(const LockScenarioConfig& config) {
     });
   });
 
-  simulator.run();
+  // The round is settled once the attestation has completed and the
+  // writer's series is the only queue entry left: later ticks only write
+  // memory that nothing reads any more.  Every other event (malware
+  // retries, lock releases) still fires, in its order against the writer.
+  const auto settled = [&] {
+    return outcome.completed && writer && writer->armed() &&
+           simulator.pending_events() == 1;
+  };
+  while (!settled() && simulator.run(1) == 1) {
+  }
+  if (writer) writer->disarm();
 
   if (transient) outcome.malware_blocked_actions = transient->failed_erase_attempts();
   if (reloc) outcome.malware_blocked_actions = reloc->blocked_relocations();

@@ -8,6 +8,8 @@
 #include <optional>
 
 #include "src/sim/device.hpp"
+#include "src/sim/simulator.hpp"
+#include "src/support/bytes.hpp"
 #include "src/support/rng.hpp"
 
 namespace rasc::apps {
@@ -26,7 +28,13 @@ class WriterTask final : public sim::Process {
  public:
   WriterTask(sim::Device& device, WriterConfig config = {});
 
+  /// Tick every period from now + period up to `until`, as one periodic
+  /// series.
   void arm(sim::Time until);
+  /// True while ticks of the armed series are still to come.
+  bool armed() const noexcept { return series_.pending(); }
+  /// Cancel every tick still to come (a write already queued still runs).
+  void disarm() noexcept { series_.cancel(); }
 
   std::size_t attempts() const noexcept { return attempts_; }
   std::size_t blocked() const noexcept { return blocked_; }
@@ -50,6 +58,8 @@ class WriterTask final : public sim::Process {
   sim::Device& device_;
   WriterConfig config_;
   support::Xoshiro256 rng_;
+  support::Bytes data_;  ///< reused write buffer, write_size bytes
+  sim::EventHandle series_;
   std::size_t pending_ = 0;
   std::size_t attempts_ = 0;
   std::size_t blocked_ = 0;

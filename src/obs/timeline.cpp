@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <unordered_map>
 
 #include "src/obs/health.hpp"
 
@@ -19,6 +20,11 @@ std::string ms_offset(TimeNs t, TimeNs origin) {
   // Events can legitimately precede the round origin when a round was
   // reconstructed from a truncated journal; render those at +0.000.
   return "+" + ms_fixed(t >= origin ? t - origin : 0) + " ms";
+}
+
+/// sim::Link events: their actor names the link direction, not a device.
+bool is_link_event(JournalEventKind kind) {
+  return kind <= JournalEventKind::kLinkReorder;
 }
 
 std::string outcome_label(std::uint64_t a) {
@@ -155,14 +161,29 @@ std::vector<RoundTimeline> build_round_timelines(const EventJournal& journal) {
               return a.round < b.round;
             });
 
-  // Pass 2: attribute untagged events (link, cache, app) to the round
-  // whose [start, resolve] window contains them.
+  // Pass 2: attribute untagged events (link, cache, verdict, fleet) to the
+  // first round whose [start, resolve] window contains them, on the same
+  // actor.  Link events are the exception: every device's link carries the
+  // same per-direction name, so they go to the first containing window on
+  // any actor.
+  std::vector<RoundTimeline*> every_round;
+  std::unordered_map<std::uint32_t, std::vector<RoundTimeline*>> rounds_of;
+  for (RoundTimeline& rt : rounds) {
+    every_round.push_back(&rt);
+    rounds_of[rt.actor].push_back(&rt);
+  }
   for (std::size_t i = 0; i < journal.size(); ++i) {
     const JournalEvent& ev = journal.at(i);
     if (ev.session != 0) continue;
-    for (RoundTimeline& rt : rounds) {
-      if (ev.time >= rt.t_start && ev.time <= rt.t_resolved) {
-        rt.events.push_back(ev);
+    const std::vector<RoundTimeline*>* candidates = &every_round;
+    if (!is_link_event(ev.kind)) {
+      const auto it = rounds_of.find(ev.actor);
+      if (it == rounds_of.end()) continue;
+      candidates = &it->second;
+    }
+    for (RoundTimeline* rt : *candidates) {
+      if (ev.time >= rt->t_start && ev.time <= rt->t_resolved) {
+        rt->events.push_back(ev);
         break;
       }
     }

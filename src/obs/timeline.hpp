@@ -22,11 +22,11 @@
 namespace rasc::obs {
 
 /// One reconstructed round: the session-tagged events plus every untagged
-/// event (link, cache, app) that happened inside the round's time window.
-/// Window association assumes rounds on one journal do not overlap in
-/// time, which holds for the sequential ReliableSession driver; concurrent
-/// multi-session journals keep exact attribution for session-tagged events
-/// and best-effort attribution for the rest.
+/// event of the same actor (cache, verdict, fleet) that happened inside the
+/// round's time window.  Link events name the link direction, not a device,
+/// so they join the first round whose window contains them on any actor:
+/// exact for the sequential ReliableSession driver, best effort where
+/// rounds of several devices overlap.
 struct RoundTimeline {
   std::uint32_t session = 0;
   std::uint64_t round = 0;

@@ -222,6 +222,44 @@ TEST(Scenario, AvailabilityOrderingMatchesTable1) {
   EXPECT_LT(inc_lock, 1.0);
 }
 
+// ---- when a round ends -------------------------------------------------------
+
+// A round returns once the attestation has completed and the writer's series
+// is the only event left.  Events still queued at t_e (the transient's
+// blocked-erase retries until an extended lock releases, relocations, lock
+// releases) must fire as before, in the same order against the writer, so
+// these outcomes are pinned exactly.
+struct PinnedRound {
+  LockMechanism lock;
+  AdversaryKind adversary;
+  std::size_t malware_blocked_actions;
+  std::size_t writer_attempts_during;
+  sim::Duration measurement_duration;
+};
+
+TEST(Scenario, WriterRoundOutcomesArePinned) {
+  const PinnedRound pinned[] = {
+      // The erase retries until the extended lock releases at t_e + 2 ms.
+      {LockMechanism::kAllLockExt, AdversaryKind::kTransientLeaver, 3, 6, 317265},
+      {LockMechanism::kIncLockExt, AdversaryKind::kTransientLeaver, 0, 6, 317265},
+      {LockMechanism::kDecLock, AdversaryKind::kRelocChase, 0, 6, 317265},
+  };
+  for (const PinnedRound& round : pinned) {
+    LockScenarioConfig config = base_config();
+    config.lock = round.lock;
+    config.adversary = round.adversary;
+    config.writer_enabled = true;
+    config.release_delay = 2 * sim::kMillisecond;
+    const auto outcome = run_lock_scenario(config);
+    const std::string label = lock_mechanism_name(round.lock) + " / " +
+                              adversary_name(round.adversary);
+    ASSERT_TRUE(outcome.completed) << label;
+    EXPECT_EQ(outcome.malware_blocked_actions, round.malware_blocked_actions) << label;
+    EXPECT_EQ(outcome.writer_attempts_during, round.writer_attempts_during) << label;
+    EXPECT_EQ(outcome.measurement_duration, round.measurement_duration) << label;
+  }
+}
+
 // ---- lossy-link reliable sessions ------------------------------------------
 
 TEST(Scenario, NetworkScenarioCleanLinkVerifiesEveryRound) {

@@ -20,5 +20,23 @@ TEST(WriterTask, PeriodicSeriesIsOneQueueEntry) {
   EXPECT_EQ(fx.simulator.now(), sim::kSecond + config.write_cost);
 }
 
+TEST(WriterTask, DisarmStopsTheSeries) {
+  testfx::DeviceHarness fx;
+  WriterConfig config;
+  config.period = 50 * sim::kMicrosecond;
+  WriterTask writer(fx.device, config);
+  writer.arm(sim::kSecond);
+  EXPECT_TRUE(writer.armed());
+  // Ticks at 50 us, 100 us, ..., 1 ms; the last write lands write_cost later.
+  fx.simulator.run_until(sim::kMillisecond + config.write_cost);
+  const std::size_t attempts = writer.attempts();
+  EXPECT_EQ(attempts, 20u);
+  writer.disarm();
+  EXPECT_FALSE(writer.armed());
+  fx.simulator.run();
+  EXPECT_EQ(writer.attempts(), attempts);
+  EXPECT_TRUE(fx.simulator.empty());
+}
+
 }  // namespace
 }  // namespace rasc::apps

@@ -79,6 +79,50 @@ TEST(RoundTimeline, AssignsUntaggedEventsByTimeWindow) {
   }
 }
 
+TEST(RoundTimeline, UntaggedDeviceEventsStayWithTheirDevice) {
+  // Two devices whose rounds overlap in time, as in a fleet: prv-0 on
+  // [10, 50] ms, prv-1 on [20, 60] ms.  A device's untagged events join its
+  // own round even inside the other device's earlier window.
+  EventJournal j;
+  const std::uint32_t link = j.intern("vrf->prv");
+  const std::uint32_t dev0 = j.intern("prv-0");
+  const std::uint32_t dev1 = j.intern("prv-1");
+  const std::uint32_t ses0 = j.intern("session/prv-0");
+  const std::uint32_t ses1 = j.intern("session/prv-1");
+  const std::uint32_t idle = j.intern("prv-2");  // owns no round
+
+  j.append(10 * kMs, dev0, ses0, 1, JournalEventKind::kSessionStart, 3, 60 * kMs);
+  j.append(20 * kMs, dev1, ses1, 1, JournalEventKind::kSessionStart, 3, 60 * kMs);
+  j.append(25 * kMs, link, 0, 0, JournalEventKind::kLinkSend, 1, 44);
+  j.append(30 * kMs, dev1, 0, 0, JournalEventKind::kCacheMiss, 4, 1);
+  j.append(35 * kMs, idle, 0, 0, JournalEventKind::kFleetWake, 1, 2);
+  j.append(40 * kMs, dev1, 0, 0, JournalEventKind::kVerifierVerdict, 0, 0);
+  j.append(50 * kMs, dev0, 0, 0, JournalEventKind::kVerifierVerdict, 0, 0);
+  j.append(50 * kMs, dev0, ses0, 1, JournalEventKind::kSessionResolved,
+           static_cast<std::uint64_t>(RoundOutcome::kVerified), 0);
+  j.append(60 * kMs, dev1, ses1, 1, JournalEventKind::kSessionResolved,
+           static_cast<std::uint64_t>(RoundOutcome::kVerified), 0);
+
+  const auto rounds = build_round_timelines(j);
+  ASSERT_EQ(rounds.size(), 2u);
+  ASSERT_EQ(rounds[0].actor, dev0);
+  ASSERT_EQ(rounds[1].actor, dev1);
+  const auto untagged = [](const RoundTimeline& rt) {
+    std::vector<std::pair<std::uint32_t, JournalEventKind>> out;
+    for (const auto& ev : rt.events) {
+      if (ev.session == 0) out.emplace_back(ev.actor, ev.kind);
+    }
+    return out;
+  };
+  using Pairs = std::vector<std::pair<std::uint32_t, JournalEventKind>>;
+  // The link event carries no device, so it joins the first containing window.
+  EXPECT_EQ(untagged(rounds[0]),
+            (Pairs{{link, JournalEventKind::kLinkSend},
+                   {dev0, JournalEventKind::kVerifierVerdict}}));
+  EXPECT_EQ(untagged(rounds[1]), (Pairs{{dev1, JournalEventKind::kCacheMiss},
+                                        {dev1, JournalEventKind::kVerifierVerdict}}));
+}
+
 TEST(RoundTimeline, UnresolvedRoundRendersAsUnresolved) {
   EventJournal j;
   const std::uint32_t dev = j.intern("prv-0");
