@@ -10,6 +10,7 @@
 #include "src/crypto/hmac.hpp"
 #include "src/crypto/lanes.hpp"
 #include "src/crypto/rsa.hpp"
+#include "src/crypto/sha256.hpp"
 #include "src/support/rng.hpp"
 
 namespace {
@@ -17,6 +18,10 @@ namespace {
 using namespace rasc;
 
 using support::random_bytes;
+
+// Names the SHA-256 compression kernel in the benchmark context header.
+[[maybe_unused]] const bool kKernelContext =
+    (benchmark::AddCustomContext("sha256_kernel", crypto::sha256_kernel_name()), true);
 
 void BM_Hash(benchmark::State& state) {
   const auto kind = static_cast<crypto::HashKind>(state.range(0));

@@ -8,12 +8,15 @@
 ///     byte-identical to the scalar path.  Deterministic; a fingerprint of
 ///     the scalar digests is emitted so the baseline gate catches silent
 ///     digest drift across platforms, not just lane/scalar divergence.
-///  2. Lane throughput — lanes=1 (reused scalar state) vs LaneHasher<4>
-///     and LaneHasher<8> on the portable fallback and, when compiled, the
-///     SIMD backend.  Best-of-K timing; exits non-zero unless portable
-///     4-way SHA-256 is at least 2x the scalar loop (the ISSUE 9
-///     acceptance bar; ratios are taken within one process run so they
-///     survive noisy CI machines).
+///  2. Lane throughput — lanes=1 (the portable one-stream SHA-256 kernel;
+///     the reused BLAKE2s streaming state) vs LaneHasher<4> and
+///     LaneHasher<8> on the portable fallback and, when compiled, the
+///     SIMD backend.  On a SHA-NI CPU, also the SHA-NI one-stream kernel
+///     (the streaming Sha256 class) and its two-stream pairs (digest_many).
+///     Best-of-K timing; exits non-zero unless portable 4-way SHA-256 is
+///     at least 2x the portable one-stream loop, or, when SHA-NI is active,
+///     unless its one stream is at least 3x that loop (ratios are taken
+///     within one process run so they survive noisy CI machines).
 ///  3. Per-block MAC cost — CBC-MAC vs HMAC-SHA256 vs BLAKE2s through
 ///     BlockDigester::digest at the exact measurement block sizes (64 B
 ///     fleet blocks, 4096 B micro_measurement blocks), in blocks/s.
@@ -32,6 +35,8 @@
 #include "src/attest/measurement.hpp"
 #include "src/crypto/hash.hpp"
 #include "src/crypto/lanes.hpp"
+#include "src/crypto/sha256.hpp"
+#include "src/crypto/sha256_core.hpp"
 #include "src/obs/bench_io.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/support/rng.hpp"
@@ -132,9 +137,9 @@ Throughput best_of(const std::function<void()>& rep) {
   return {best, static_cast<double>(kMsgBytes * kMsgCount) / best / 1e6};
 }
 
-/// Scalar loop with one reused hash state (the allocation-free baseline —
-/// what BlockDigester's scalar path does per block).
-Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
+/// One reused streaming hash state on the library's own core — SHA-NI for
+/// SHA-256 when it is active.
+Throughput stream_throughput(crypto::HashKind kind, const support::Bytes& pool,
                              support::Bytes& sink) {
   auto hasher = crypto::make_hash(kind);
   const std::size_t digest_size = hasher->digest_size();
@@ -145,6 +150,34 @@ Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
           support::MutableByteView(sink.data() + m * digest_size, digest_size));
     }
   });
+}
+
+/// One-stream reference loop: for SHA-256 the portable kernel explicitly —
+/// the arithmetic the lanes vectorise — and for BLAKE2s one reused hash
+/// state (what BlockDigester's scalar path does per block).
+Throughput scalar_throughput(crypto::HashKind kind, const support::Bytes& pool,
+                             support::Bytes& sink) {
+  if (kind == crypto::HashKind::kSha256) {
+    return best_of([&] {
+      for (std::size_t m = 0; m < kMsgCount; ++m) {
+        crypto::detail::sha256_digest(
+            support::ByteView(pool.data() + m * kMsgBytes, kMsgBytes),
+            sink.data() + m * 32, crypto::detail::sha256_blocks_portable);
+      }
+    });
+  }
+  return stream_throughput(kind, pool, sink);
+}
+
+/// SHA-256 pairs on the two-stream kernel, through digest_many.
+Throughput pair_throughput(const support::Bytes& pool, support::Bytes& sink) {
+  std::vector<support::ByteView> views;
+  std::vector<support::MutableByteView> outs;
+  for (std::size_t m = 0; m < kMsgCount; ++m) {
+    views.emplace_back(pool.data() + m * kMsgBytes, kMsgBytes);
+    outs.emplace_back(sink.data() + m * 32, 32);
+  }
+  return best_of([&] { crypto::digest_many(crypto::HashKind::kSha256, views, outs); });
 }
 
 template <std::size_t N>
@@ -195,10 +228,11 @@ double block_mac_blocks_per_s(attest::MacKind mac, crypto::HashKind hash,
 
 int main() {
   std::printf("=== multi-lane digest gate ===\n");
-  std::printf("backends: portable%s%s; auto packs %zu lanes (%s)\n\n",
+  std::printf("backends: portable%s%s; auto packs %zu lanes (%s); sha256 kernel: %s\n\n",
               crypto::simd_compiled() ? ", simd" : "",
               crypto::avx2_active() ? " (avx2)" : "",
-              crypto::preferred_lanes(), crypto::lane_backend_name());
+              crypto::preferred_lanes(), crypto::lane_backend_name(),
+              crypto::sha256_kernel_name());
 
   obs::MetricsRegistry registry;
   bool ok = true;
@@ -234,6 +268,7 @@ int main() {
   const support::Bytes pool = random_bytes(kMsgBytes * kMsgCount, 0xfeed);
   support::Bytes sink(kMsgCount * 32);
   double sha256_portable_x4 = 0.0;
+  double sha256_shani_x1 = 0.0;
   support::Table table(
       {"hash", "backend", "lanes", "best s", "MB/s", "speedup"});
   for (const auto kind : kinds) {
@@ -243,6 +278,21 @@ int main() {
     registry.gauge("crypto_lanes." + label + ".scalar_mb_per_s").set(scalar.mb_per_s);
     table.add_row({label, "scalar", "1", support::fmt_double(scalar.seconds, 4),
                    support::fmt_double(scalar.mb_per_s, 1), "1.0"});
+    if (kind == crypto::HashKind::kSha256 && crypto::detail::sha256_shani_active()) {
+      const Throughput x1 = stream_throughput(kind, pool, sink);
+      const Throughput x2 = pair_throughput(pool, sink);
+      sha256_shani_x1 = scalar.seconds / x1.seconds;
+      const double s2 = scalar.seconds / x2.seconds;
+      registry.gauge("crypto_lanes.sha256.shani_x1_speedup").set(sha256_shani_x1);
+      registry.gauge("crypto_lanes.sha256.shani_x1_mb_per_s").set(x1.mb_per_s);
+      registry.gauge("crypto_lanes.sha256.shani_x2_speedup").set(s2);
+      registry.gauge("crypto_lanes.sha256.shani_x2_mb_per_s").set(x2.mb_per_s);
+      table.add_row({label, "sha-ni", "1", support::fmt_double(x1.seconds, 4),
+                     support::fmt_double(x1.mb_per_s, 1),
+                     support::fmt_double(sha256_shani_x1, 2)});
+      table.add_row({label, "sha-ni", "2", support::fmt_double(x2.seconds, 4),
+                     support::fmt_double(x2.mb_per_s, 1), support::fmt_double(s2, 2)});
+    }
     for (const auto backend : backends) {
       const bool portable = backend == crypto::LaneBackend::kPortable;
       const std::string bname =
@@ -267,6 +317,12 @@ int main() {
                 "portable 4-way SHA-256 >= 2x scalar (measured %.2fx)",
                 sha256_portable_x4);
   ok &= expect(sha256_portable_x4 >= 2.0, line);
+  if (crypto::detail::sha256_shani_active()) {
+    std::snprintf(line, sizeof(line),
+                  "SHA-NI one-stream SHA-256 >= 3x portable (measured %.2fx)",
+                  sha256_shani_x1);
+    ok &= expect(sha256_shani_x1 >= 3.0, line);
+  }
 
   // 3. per-block MAC cost at the measurement block sizes
   const support::Bytes key = random_bytes(16, 0x6e7);

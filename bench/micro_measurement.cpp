@@ -35,6 +35,7 @@
 #include "src/attest/digest_cache.hpp"
 #include "src/attest/golden.hpp"
 #include "src/attest/measurement.hpp"
+#include "src/crypto/sha256.hpp"
 #include "src/exp/report.hpp"
 #include "src/mtree/incremental.hpp"
 #include "src/obs/bench_io.hpp"
@@ -129,8 +130,8 @@ double run_tree_rounds(sim::DeviceMemory& memory, support::ByteView key,
 
 int main() {
   std::printf("=== measurement hot path: digest cache dirty-fraction sweep ===\n");
-  std::printf("%zu blocks x %zu B, %zu measurement rounds per point\n\n", kBlocks,
-              kBlockSize, kRounds);
+  std::printf("%zu blocks x %zu B, %zu measurement rounds per point; sha256 kernel: %s\n\n",
+              kBlocks, kBlockSize, kRounds, crypto::sha256_kernel_name());
 
   const support::Bytes key = support::to_bytes("micro-measurement-key");
   obs::MetricsRegistry registry;

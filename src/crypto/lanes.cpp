@@ -22,31 +22,9 @@ namespace rasc::crypto {
 
 namespace lane_detail {
 
-// Scalar lane finishers.  Deliberately compiled in this baseline TU only:
-// the AVX2 TU calls back into these for divergent-length tails, so tails
+// Scalar BLAKE2s lane finisher.  Deliberately compiled in this baseline TU
+// only: the AVX2 TU calls back into it for divergent-length tails, so tails
 // never execute AVX2 instructions.
-void sha256_finish_scalar(std::uint32_t state[8], const std::uint8_t* p,
-                          std::size_t rem, std::size_t total, std::uint8_t* out32) {
-  while (rem >= 64) {
-    detail::sha256_compress(state, p);
-    p += 64;
-    rem -= 64;
-  }
-  std::uint8_t tail[128];
-  const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-  std::memset(tail, 0, tail_blocks * 64);
-  if (rem != 0) std::memcpy(tail, p, rem);
-  tail[rem] = 0x80;
-  const std::uint64_t bits = static_cast<std::uint64_t>(total) * 8;
-  for (int i = 0; i < 8; ++i) {
-    tail[tail_blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
-  }
-  for (std::size_t b = 0; b < tail_blocks; ++b) detail::sha256_compress(state, tail + 64 * b);
-  for (int i = 0; i < 8; ++i) {
-    support::put_u32_be(support::MutableByteView(out32 + 4 * i, 4), state[i]);
-  }
-}
-
 void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p, std::size_t rem,
                            std::size_t total, std::uint8_t* out32) {
   std::uint64_t t = static_cast<std::uint64_t>(total) - rem;
@@ -210,23 +188,36 @@ void digest_many(HashKind kind, std::span<const support::ByteView> msgs,
   }
   check_outs(kind, msgs, outs);
 
-  const LaneBackend resolved = resolve_backend(backend);
-  const std::size_t width = preferred_lanes(resolved);
+  const bool sha = kind == HashKind::kSha256;
   std::size_t i = 0;
   const std::size_t n = msgs.size();
-  while (n - i >= 2) {
-    const std::size_t chunk = n - i < width ? n - i : width;
-    if (chunk > 4) {
-      run_lanes<8>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
-    } else {
-      run_lanes<4>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
+  if (sha && backend == LaneBackend::kAuto && detail::sha256_shani_active()) {
+    // One SHA-NI stream already outruns the widest lane kernel; pairs fill
+    // the latency of its dependent round instructions.
+    for (; n - i >= 2; i += 2) {
+      detail::sha256_digest_x2(msgs[i], outs[i].data(), msgs[i + 1], outs[i + 1].data());
     }
-    i += chunk;
+  } else {
+    const LaneBackend resolved = resolve_backend(backend);
+    const std::size_t width = preferred_lanes(resolved);
+    while (n - i >= 2) {
+      const std::size_t chunk = n - i < width ? n - i : width;
+      if (chunk > 4) {
+        run_lanes<8>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
+      } else {
+        run_lanes<4>(kind, resolved, msgs.data() + i, outs.data() + i, chunk);
+      }
+      i += chunk;
+    }
   }
   if (i < n) {
-    // Single trailing message: the scalar path beats a mostly-idle pack.
-    auto hasher = make_hash(kind);
-    hash_oneshot_into(*hasher, msgs[i], outs[i]);
+    // Single trailing message: one stream beats a mostly-idle pack.
+    if (sha) {
+      detail::sha256_digest(msgs[i], outs[i].data());
+    } else {
+      auto hasher = make_hash(kind);
+      hash_oneshot_into(*hasher, msgs[i], outs[i]);
+    }
   }
 }
 

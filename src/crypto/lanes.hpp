@@ -10,8 +10,13 @@
 /// Guarantee: every lane digest is byte-identical to the scalar streaming
 /// path (`hash_oneshot`).  Lockstep kernels share the compression constants
 /// with the scalar cores, and any lane whose message length diverges from
-/// the pack is finished on the very same scalar compression functions
-/// (sha256_core.hpp / blake2s_core.hpp), so identity is structural.
+/// the pack is finished on the very same compression core the streaming
+/// path uses (sha256_core.hpp / blake2s_core.hpp), so identity is structural.
+///
+/// On a CPU with the SHA extensions, digest_many(kSha256, kAuto) skips the
+/// lanes: one SHA-NI stream outruns the widest lane kernel, so it digests
+/// pairs on the 2-stream SHA-NI kernel instead (sha256_core.hpp).  Explicit
+/// LaneHasher<N> backends always run the lane kernels.
 ///
 /// Backends:
 ///  - kPortable: plain-array interleaving (`U32xN`) that auto-vectorizes
@@ -85,8 +90,10 @@ class LaneHasher {
 };
 
 /// Digest any number of independent messages, packing preferred_lanes()-
-/// wide waves (scalar for a trailing single message).  msgs and outs must
-/// have equal sizes; outs[i] must be exactly hash_digest_size(kind) bytes.
+/// wide waves — or, for SHA-256 with kAuto on a SHA-NI CPU, pairs on the
+/// 2-stream kernel — and one stream for a trailing single message.  msgs
+/// and outs must have equal sizes; outs[i] must be exactly
+/// hash_digest_size(kind) bytes.
 /// Kinds without lane kernels are digested scalar, so callers need no
 /// capability check.
 void digest_many(HashKind kind, std::span<const support::ByteView> msgs,

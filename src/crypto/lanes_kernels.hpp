@@ -10,10 +10,10 @@
 /// Everything here lives in a per-TU namespace chosen via RASC_LANES_NS so
 /// the linker can never substitute an AVX2-compiled instantiation into the
 /// baseline dispatch path.  The only cross-TU symbols are the constexpr
-/// round-constant arrays (pure data) and the out-of-line scalar finishers
-/// in rasc::crypto::lane_detail, which are defined exactly once in
-/// lanes.cpp (baseline codegen) so divergent-length tails never execute
-/// AVX2 instructions.
+/// round-constant arrays (pure data) and the out-of-line finishers —
+/// detail::sha256_finish (sha256.cpp, the dispatched SHA-256 core) and
+/// lane_detail::blake2s_finish_scalar (lanes.cpp) — both compiled at
+/// baseline, so divergent-length tails never execute AVX2 instructions.
 
 #ifndef RASC_LANES_NS
 #error "define RASC_LANES_NS before including lanes_kernels.hpp"
@@ -28,15 +28,10 @@
 
 namespace rasc::crypto::lane_detail {
 
-/// Finish one SHA-256 lane on the scalar core: consume the `rem` bytes at
-/// `p` (any remaining full blocks plus the tail), pad, and write the
-/// big-endian digest.  `total` is the full message length for the bit count.
-/// Defined in lanes.cpp.
-void sha256_finish_scalar(std::uint32_t state[8], const std::uint8_t* p,
-                          std::size_t rem, std::size_t total, std::uint8_t* out32);
-
-/// Finish one BLAKE2s lane on the scalar core (same contract; little-endian
-/// output).  Defined in lanes.cpp.
+/// Finish one BLAKE2s lane on the scalar core: consume the `rem` bytes at
+/// `p` (any remaining full blocks plus the tail) and write the
+/// little-endian digest; `total` is the full message length (the SHA-256
+/// counterpart is detail::sha256_finish).  Defined in lanes.cpp.
 void blake2s_finish_scalar(std::uint32_t h[8], const std::uint8_t* p,
                            std::size_t rem, std::size_t total, std::uint8_t* out32);
 
@@ -227,7 +222,7 @@ inline constexpr std::uint8_t kDummyBlock[64] = {};
 /// Digest up to kLaneCount<V> independent messages.  Full 64-byte blocks
 /// common to every active lane run in lockstep; equal-length packs also
 /// finish their padded final block(s) in lockstep, while divergent lanes
-/// fall back to the scalar core (identical arithmetic, so identical bytes).
+/// finish on the dispatched one-stream core (identical bytes).
 template <class V>
 void sha256_digest_lanes(const support::ByteView* msgs,
                          const support::MutableByteView* outs, std::size_t count) {
@@ -289,12 +284,11 @@ void sha256_digest_lanes(const support::ByteView* msgs,
   }
 
   // Divergent lengths: pull each lane's column state out and finish it on
-  // the scalar core.
+  // the one-stream core.
   for (std::size_t l = 0; l < count; ++l) {
     std::uint32_t s[8];
     for (int i = 0; i < 8; ++i) s[i] = h[i][l];
-    lane_detail::sha256_finish_scalar(s, ptr[l], rem[l], msgs[l].size(),
-                                      outs[l].data());
+    detail::sha256_finish(s, ptr[l], rem[l], msgs[l].size(), outs[l].data());
   }
 }
 

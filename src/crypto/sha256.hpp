@@ -1,6 +1,7 @@
 #pragma once
 /// \file sha256.hpp
-/// SHA-256 (FIPS 180-4), streaming implementation.
+/// SHA-256 (FIPS 180-4), streaming implementation over the dispatched
+/// compression core (sha256_core.hpp).
 
 #include <array>
 #include <cstdint>
@@ -25,12 +26,14 @@ class Sha256 final : public Hash {
   void reset() override;
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, kBlockSize> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_len_ = 0;
 };
+
+/// Which SHA-256 compression kernel this process runs: "sha-ni" or
+/// "portable".  For bench headers and logs.
+const char* sha256_kernel_name() noexcept;
 
 }  // namespace rasc::crypto

@@ -1,14 +1,22 @@
 #pragma once
 /// \file sha256_core.hpp
-/// SHA-256 compression primitive shared by the streaming Sha256 class and
-/// the multi-lane kernels (lanes.hpp).  Factoring the round function out
-/// lets the lane code finish staggered-length tails on the *same* scalar
-/// arithmetic the one-message path uses, which is what makes the
-/// lane-vs-scalar byte-identity guarantee structural rather than
-/// coincidental.
+/// The one SHA-256 compression core.  Every SHA-256 in the library — the
+/// streaming Sha256 class (and with it HMAC, the DRBG and the verifier),
+/// per-block measurement digests and the multi-lane tail finisher —
+/// compresses through sha256_blocks(), which runs the SHA-NI kernel
+/// (sha256_shani.cpp, x86 SHA extensions) when it is compiled in and the
+/// CPU has it, and the portable FIPS 180-4 round function otherwise.  The
+/// choice is made once per process and both kernels produce the same bytes.
+///
+/// The round constants and IV are shared with the lockstep lane kernels
+/// (lanes_kernels.hpp), which vectorise the portable round function and
+/// finish divergent-length lanes through sha256_finish(), so lane-vs-scalar
+/// byte identity is structural rather than coincidental.
 
-#include <bit>
+#include <cstddef>
 #include <cstdint>
+
+#include "src/support/bytes.hpp"
 
 namespace rasc::crypto::detail {
 
@@ -29,49 +37,44 @@ inline constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef37
                                                0xa54ff53a, 0x510e527f, 0x9b05688c,
                                                0x1f83d9ab, 0x5be0cd19};
 
-inline std::uint32_t sha256_load_be32(const std::uint8_t* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
+/// A block-run kernel: compress `nblocks` consecutive 64-byte blocks at
+/// `data` (any alignment) into `state`.
+using Sha256BlocksFn = void (*)(std::uint32_t state[8], const std::uint8_t* data,
+                                std::size_t nblocks);
 
-/// One FIPS 180-4 compression of a 64-byte block into `state`.
-inline void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = sha256_load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+/// The portable FIPS 180-4 round function — the arithmetic the lane
+/// kernels vectorise, and the reference the SHA-NI kernel is tested against.
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks);
 
-  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kSha256K[i] + w[i];
-    const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state[0] += a;
-  state[1] += b;
-  state[2] += c;
-  state[3] += d;
-  state[4] += e;
-  state[5] += f;
-  state[6] += g;
-  state[7] += h;
-}
+/// The dispatched core: SHA-NI when sha256_shani_active(), else portable.
+void sha256_blocks(std::uint32_t state[8], const std::uint8_t* data, std::size_t nblocks);
+
+/// Two independent streams of `nblocks` blocks each.  With SHA-NI they run
+/// interleaved (sha256rnds2 is latency-bound, so a second message fills
+/// the pipeline); otherwise one after the other on the portable kernel.
+void sha256_blocks_x2(std::uint32_t state0[8], const std::uint8_t* data0,
+                      std::uint32_t state1[8], const std::uint8_t* data1,
+                      std::size_t nblocks);
+
+/// True when the SHA-NI kernel is compiled in and the CPU supports it.
+bool sha256_shani_active() noexcept;
+
+/// Finish a message: consume the `rem` bytes at `p` (whole blocks, then
+/// the padded tail) into `state`, with `total` the full message length in
+/// bytes for the bit count, and write the big-endian digest to `out32`.
+void sha256_finish(std::uint32_t state[8], const std::uint8_t* p, std::size_t rem,
+                   std::uint64_t total, std::uint8_t* out32,
+                   Sha256BlocksFn blocks = sha256_blocks);
+
+/// One-shot digest of `msg` into `out32` on `blocks`.
+void sha256_digest(support::ByteView msg, std::uint8_t* out32,
+                   Sha256BlocksFn blocks = sha256_blocks);
+
+/// One-shot digests of two messages through sha256_blocks_x2: equal
+/// lengths run interleaved to the end; staggered lengths share their
+/// common whole blocks and finish one stream at a time.
+void sha256_digest_x2(support::ByteView msg0, std::uint8_t* out0, support::ByteView msg1,
+                      std::uint8_t* out1);
 
 }  // namespace rasc::crypto::detail
